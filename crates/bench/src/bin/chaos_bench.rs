@@ -19,7 +19,8 @@
 
 use rlgraph_agents::{Backend, DqnAgent, DqnConfig, EpsilonSchedule};
 use rlgraph_dist::{
-    run_apex_chaos, ChaosApexConfig, ChaosReport, FaultKind, FaultPlan, LearnerCheckpoint,
+    run_apex_chaos, ChaosApexConfig, ChaosReport, DriverConfigBuilder, FaultKind, FaultPlan,
+    LearnerCheckpoint, RunBudget,
 };
 use rlgraph_envs::{CartPole, Env};
 use rlgraph_nn::{Activation, NetworkSpec};
@@ -69,15 +70,15 @@ fn env_factory(w: usize, e: usize) -> Box<dyn Env> {
 fn config(budget: &Budget, plan: FaultPlan) -> ChaosApexConfig {
     ChaosApexConfig::builder()
         .agent(agent_config())
-        .num_workers(budget.num_workers)
+        .parallelism(budget.num_workers)
         .envs_per_worker(budget.envs_per_worker)
         .task_size(budget.task_size)
         .num_shards(budget.num_shards)
-        .steps(budget.steps)
-        .weight_sync_interval(4)
+        .budget(RunBudget::steps(budget.steps))
+        .sync_every(4)
         .checkpoint_every(Some(16))
         .fault_plan(plan)
-        .build()
+        .try_build()
         .expect("chaos config")
 }
 

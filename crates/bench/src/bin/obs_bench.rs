@@ -170,8 +170,8 @@ fn main() {
     // artifacts — a benchmark of a silently dead feature is worthless.
     let report = last_report.expect("telemetry-on run returned a cluster report");
     assert!(report.contains("worker-0"), "cluster report lost worker sections:\n{}", report);
-    assert!(report.contains("worker.mailbox_depth"), "mailbox gauge missing:\n{}", report);
-    assert!(report.contains("learner.update_rate"), "update-rate gauge missing:\n{}", report);
+    assert!(report.contains("frag.rollout.mailbox_depth"), "mailbox gauge missing:\n{}", report);
+    assert!(report.contains("frag.learn.update_rate"), "update-rate gauge missing:\n{}", report);
     let trace = last_trace.expect("telemetry-on run returned a merged trace");
     assert!(
         trace.contains("\"worker-0\"") && trace.contains("\"coordinator\""),

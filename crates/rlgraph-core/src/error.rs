@@ -10,10 +10,8 @@
 //!   cross-actor call can produce (mailbox saturation, disconnects,
 //!   deadlines, shed load, quorum loss, checkpoint corruption, crashed
 //!   actors) is a variant, and every variant has a [`Severity`] class
-//!   that retry/supervision policies dispatch on. The legacy
-//!   `MailboxError` (rlgraph-dist) and `ServeError` (rlgraph-serve)
-//!   convert into `RlError` via `From`, so call sites migrate
-//!   mechanically; fault-free behaviour is unchanged.
+//!   that retry/supervision policies dispatch on. `ServeError`
+//!   (rlgraph-serve) converts into `RlError` via `From`.
 
 use std::fmt;
 

@@ -29,18 +29,19 @@
 
 use crate::checkpoint::LearnerCheckpoint;
 use crate::cluster::HashRing;
+use crate::driver::{DriverConfigBuilder, RunBudget};
 use crate::fault::{FaultEvent, FaultKind, FaultPlan};
 use crate::fragment::{
     FragmentCounter, ReplicaHealth, RunReport, SteppedExecutor, SteppedStages, TickCtx, TickFlow,
 };
 use crate::ray::{apex_worker_epsilon, ApexRunStats};
 use crate::retry::{RetryPolicy, VirtualSleeper};
-use crate::shard::{ReplayShard, ShardCore};
+use crate::shard::{ShardCore, DEFAULT_MAILBOX_CAPACITY};
 use rlgraph_agents::apex::ApexWorker;
 use rlgraph_agents::{DqnAgent, DqnConfig};
 use rlgraph_core::{CoreError, RlError, RlResult};
 use rlgraph_envs::{Env, VectorEnv};
-use rlgraph_obs::{ClockSource, Recorder, VirtualTime};
+use rlgraph_obs::{ClockSource, Counter, Histogram, Recorder, VirtualTime};
 use rlgraph_spaces::Space;
 use rlgraph_tensor::Tensor;
 use std::time::Duration;
@@ -90,7 +91,7 @@ pub struct ChaosApexConfig {
     pub kill_shards: Vec<usize>,
     /// retry policy for the learner's cross-shard sample calls
     pub retry: RetryPolicy,
-    /// observability recorder (chaos.* counters)
+    /// observability recorder (`frag.<stage>.*` fault and recovery counters)
     pub recorder: Recorder,
 }
 
@@ -124,7 +125,9 @@ impl ChaosApexConfig {
     }
 }
 
-/// Validating builder for [`ChaosApexConfig`].
+/// Validating builder for [`ChaosApexConfig`]. The knobs every driver
+/// shares (parallelism, sync cadence, budget, recorder, build) are set
+/// through [`DriverConfigBuilder`].
 #[derive(Debug, Clone)]
 pub struct ChaosApexConfigBuilder {
     draft: ChaosApexConfig,
@@ -134,13 +137,6 @@ impl ChaosApexConfigBuilder {
     /// Learner/worker agent configuration.
     pub fn agent(mut self, agent: DqnConfig) -> Self {
         self.draft.agent = agent;
-        self
-    }
-
-    /// Number of worker actors. Deprecated spelling of
-    /// [`parallelism`](crate::DriverConfigBuilder::parallelism).
-    pub fn num_workers(mut self, n: usize) -> Self {
-        self.draft.num_workers = n;
         self
     }
 
@@ -159,20 +155,6 @@ impl ChaosApexConfigBuilder {
     /// Replay shard count.
     pub fn num_shards(mut self, n: usize) -> Self {
         self.draft.num_shards = n;
-        self
-    }
-
-    /// Weight broadcast interval (learner updates). Deprecated
-    /// spelling of [`sync_every`](crate::DriverConfigBuilder::sync_every).
-    pub fn weight_sync_interval(mut self, k: u64) -> Self {
-        self.draft.weight_sync_interval = k;
-        self
-    }
-
-    /// Scheduler ticks to run. Deprecated spelling of
-    /// [`budget`](crate::DriverConfigBuilder::budget).
-    pub fn steps(mut self, n: u64) -> Self {
-        self.draft.steps = n;
         self
     }
 
@@ -223,21 +205,37 @@ impl ChaosApexConfigBuilder {
         self.draft.retry = policy;
         self
     }
+}
 
-    /// Observability recorder. Deprecated spelling of
-    /// [`observe_with`](crate::DriverConfigBuilder::observe_with).
-    pub fn recorder(mut self, recorder: Recorder) -> Self {
+impl DriverConfigBuilder for ChaosApexConfigBuilder {
+    type Config = ChaosApexConfig;
+
+    fn parallelism(mut self, n: usize) -> Self {
+        self.draft.num_workers = n;
+        self
+    }
+
+    fn sync_every(mut self, k: u64) -> Self {
+        self.draft.weight_sync_interval = k;
+        self
+    }
+
+    fn budget(mut self, budget: RunBudget) -> Self {
+        if let Some(n) = budget.steps {
+            self.draft.steps = n;
+        }
+        self
+    }
+
+    fn observe_with(mut self, recorder: Recorder) -> Self {
         self.draft.recorder = recorder;
         self
     }
 
-    /// Validates range and cross-field invariants and produces the
-    /// config.
-    ///
     /// # Errors
     ///
     /// [`RlError::Core`] naming the first violated invariant.
-    pub fn build(self) -> RlResult<ChaosApexConfig> {
+    fn try_build(self) -> RlResult<ChaosApexConfig> {
         let c = self.draft;
         let fail = |msg: String| Err(RlError::Core(CoreError::new(msg)));
         if c.num_workers == 0 {
@@ -408,14 +406,14 @@ struct ChaosState<'a, F: Fn(usize, usize) -> Box<dyn Env>> {
     config: &'a ChaosApexConfig,
     env_factory: &'a F,
     recorder: Recorder,
-    crash_ctr: rlgraph_obs::AliasedCounter,
-    restart_ctr: rlgraph_obs::AliasedCounter,
-    stall_ctr: rlgraph_obs::AliasedCounter,
-    retry_ctr: rlgraph_obs::AliasedCounter,
-    degraded_ctr: rlgraph_obs::AliasedCounter,
-    checkpoint_ctr: rlgraph_obs::AliasedCounter,
-    restore_ctr: rlgraph_obs::AliasedCounter,
-    recovery_us_hist: rlgraph_obs::AliasedHistogram,
+    crash_ctr: Counter,
+    restart_ctr: Counter,
+    stall_ctr: Counter,
+    retry_ctr: Counter,
+    degraded_ctr: Counter,
+    checkpoint_ctr: Counter,
+    restore_ctr: Counter,
+    recovery_us_hist: Histogram,
     sleeper: VirtualSleeper,
     report: ChaosReport,
     shard_cores: Vec<ShardCore>,
@@ -592,9 +590,7 @@ impl<F: Fn(usize, usize) -> Box<dyn Env>> SteppedStages for ChaosState<'_, F> {
             attempts_used = attempt + 1;
             let idx = order[attempt as usize % order.len()] as usize;
             if !shards.is_up(idx, step) {
-                return Err(RlError::MailboxFull {
-                    capacity: ReplayShard::DEFAULT_MAILBOX_CAPACITY,
-                });
+                return Err(RlError::MailboxFull { capacity: DEFAULT_MAILBOX_CAPACITY });
             }
             Ok((idx, shard_cores[idx].sample(batch_size, beta)))
         });
@@ -730,16 +726,14 @@ where
     let published = learner.get_weights();
 
     let mut state = ChaosState {
-        crash_ctr: recorder.counter_aliased("frag.rollout.crashes", &["chaos.worker_crashes"]),
-        restart_ctr: recorder.counter_aliased("frag.rollout.restarts", &["chaos.worker_restarts"]),
-        stall_ctr: recorder.counter_aliased("frag.replay.stalls", &["chaos.shard_stalls"]),
-        retry_ctr: recorder.counter_aliased("frag.learn.sample_retries", &["chaos.sample_retries"]),
-        degraded_ctr: recorder
-            .counter_aliased("frag.learn.degraded_steps", &["chaos.degraded_steps"]),
-        checkpoint_ctr: recorder.counter_aliased("frag.eval.checkpoints", &["chaos.checkpoints"]),
-        restore_ctr: recorder.counter_aliased("frag.eval.restores", &["chaos.restores"]),
-        recovery_us_hist: recorder
-            .histogram_aliased("frag.learn.recovery_us", &["chaos.recovery_us"]),
+        crash_ctr: recorder.counter("frag.rollout.crashes"),
+        restart_ctr: recorder.counter("frag.rollout.restarts"),
+        stall_ctr: recorder.counter("frag.replay.stalls"),
+        retry_ctr: recorder.counter("frag.learn.sample_retries"),
+        degraded_ctr: recorder.counter("frag.learn.degraded_steps"),
+        checkpoint_ctr: recorder.counter("frag.eval.checkpoints"),
+        restore_ctr: recorder.counter("frag.eval.restores"),
+        recovery_us_hist: recorder.histogram("frag.learn.recovery_us"),
         config: &config,
         env_factory: &env_factory,
         recorder: recorder.clone(),
@@ -813,12 +807,12 @@ mod tests {
     fn chaos_config(seed: u64, steps: u64) -> ChaosApexConfig {
         ChaosApexConfig::builder()
             .agent(tiny_agent(7))
-            .num_workers(2)
+            .parallelism(2)
             .envs_per_worker(2)
             .task_size(24)
             .num_shards(2)
-            .steps(steps)
-            .weight_sync_interval(4)
+            .budget(RunBudget::steps(steps))
+            .sync_every(4)
             .fault_plan(
                 FaultPlan::builder(seed)
                     .worker_crash_rate(0.2)
@@ -829,18 +823,22 @@ mod tests {
                     .unwrap(),
             )
             .checkpoint_every(Some(8))
-            .build()
+            .try_build()
             .unwrap()
     }
 
     #[test]
     fn builder_enforces_invariants() {
-        assert!(ChaosApexConfig::builder().num_workers(0).build().is_err());
-        assert!(ChaosApexConfig::builder().num_shards(2).shard_quorum(3).build().is_err());
-        assert!(ChaosApexConfig::builder().num_shards(2).kill_shards(vec![5]).build().is_err());
-        assert!(ChaosApexConfig::builder().steps(10).crash_learner_at(Some(12)).build().is_err());
-        assert!(ChaosApexConfig::builder().max_weight_lag(0).build().is_err());
-        assert!(ChaosApexConfig::builder().build().is_ok());
+        assert!(ChaosApexConfig::builder().parallelism(0).try_build().is_err());
+        assert!(ChaosApexConfig::builder().num_shards(2).shard_quorum(3).try_build().is_err());
+        assert!(ChaosApexConfig::builder().num_shards(2).kill_shards(vec![5]).try_build().is_err());
+        assert!(ChaosApexConfig::builder()
+            .budget(RunBudget::steps(10))
+            .crash_learner_at(Some(12))
+            .try_build()
+            .is_err());
+        assert!(ChaosApexConfig::builder().max_weight_lag(0).try_build().is_err());
+        assert!(ChaosApexConfig::builder().try_build().is_ok());
     }
 
     #[test]
@@ -880,15 +878,15 @@ mod tests {
     fn learner_crash_restores_from_checkpoint() {
         let config = ChaosApexConfig::builder()
             .agent(tiny_agent(3))
-            .num_workers(1)
+            .parallelism(1)
             .envs_per_worker(2)
             .task_size(32)
             .num_shards(1)
-            .steps(20)
-            .weight_sync_interval(2)
+            .budget(RunBudget::steps(20))
+            .sync_every(2)
             .checkpoint_every(Some(2))
             .crash_learner_at(Some(12))
-            .build()
+            .try_build()
             .unwrap();
         let (stats, report) = run_apex_chaos(config, env_factory).unwrap();
         assert_eq!(report.restores, 1);
@@ -901,14 +899,14 @@ mod tests {
         // 1 of 3 shards permanently dead, quorum 2: learning continues.
         let progressing = ChaosApexConfig::builder()
             .agent(tiny_agent(5))
-            .num_workers(1)
+            .parallelism(1)
             .envs_per_worker(2)
             .task_size(32)
             .num_shards(3)
             .shard_quorum(2)
-            .steps(15)
+            .budget(RunBudget::steps(15))
             .kill_shards(vec![1])
-            .build()
+            .try_build()
             .unwrap();
         let (stats, report) = run_apex_chaos(progressing, env_factory).unwrap();
         assert!(stats.updates > 0, "quorum held, learner must progress");
@@ -917,14 +915,14 @@ mod tests {
         // 2 of 3 dead, quorum 2: every tick degrades, zero updates.
         let degraded = ChaosApexConfig::builder()
             .agent(tiny_agent(5))
-            .num_workers(1)
+            .parallelism(1)
             .envs_per_worker(2)
             .task_size(32)
             .num_shards(3)
             .shard_quorum(2)
-            .steps(10)
+            .budget(RunBudget::steps(10))
             .kill_shards(vec![0, 2])
-            .build()
+            .try_build()
             .unwrap();
         let (stats, report) = run_apex_chaos(degraded, env_factory).unwrap();
         assert_eq!(stats.updates, 0);
@@ -939,15 +937,15 @@ mod tests {
         let cfg = || {
             ChaosApexConfig::builder()
                 .agent(tiny_agent(9))
-                .num_workers(2)
+                .parallelism(2)
                 .envs_per_worker(2)
                 .task_size(24)
                 .num_shards(3)
                 .shard_quorum(2)
-                .steps(20)
+                .budget(RunBudget::steps(20))
                 .kill_shards(vec![1])
                 .fault_plan(FaultPlan::builder(21).shard_stall(0.15, 2).build().unwrap())
-                .build()
+                .try_build()
                 .unwrap()
         };
         let (s1, r1) = run_apex_chaos(cfg(), env_factory).unwrap();

@@ -1,9 +1,8 @@
 //! The unified driver-configuration vocabulary (DESIGN.md §15).
 //!
-//! The four drivers grew four config surfaces with four spellings of
-//! the same knobs (`weight_sync_interval` vs `sync_every`, `run_duration`
-//! vs `steps`, `num_workers` vs `num_actors`). This module factors the
-//! shared vocabulary into one place:
+//! The four drivers' configs spell the same knobs in their own fields
+//! (`num_workers` vs `num_actors`, `run_duration` vs `steps`). This
+//! module holds the one vocabulary that sets and reads them:
 //!
 //! * [`RunBudget`] — how long a run lasts, in whichever unit the driver
 //!   meters (wall clock, learner updates, or virtual-time ticks).
@@ -11,24 +10,15 @@
 //!   report its seed, parallelism and cadence uniformly.
 //! * [`DriverConfigBuilder`] — the write-side trait: one builder
 //!   vocabulary (`parallelism`, `sync_every`, `budget`, `observe_with`,
-//!   `try_build`) implemented by [`ApexRunConfigBuilder`],
-//!   [`ImpalaDriverConfigBuilder`], [`ChaosApexConfigBuilder`] and
+//!   `try_build`) implemented by
+//!   [`ApexRunConfigBuilder`](crate::ApexRunConfigBuilder),
+//!   [`ImpalaDriverConfigBuilder`](crate::ImpalaDriverConfigBuilder),
+//!   [`ChaosApexConfigBuilder`](crate::ChaosApexConfigBuilder) and
 //!   rlgraph-net's `NetApexConfigBuilder`.
-//!
-//! Old spellings stay available on each concrete builder — they are
-//! deprecated vocabulary, not removed API:
-//!
-//! | deprecated spelling                  | unified spelling          |
-//! |--------------------------------------|---------------------------|
-//! | `num_workers` / `num_actors`         | [`DriverConfigBuilder::parallelism`] |
-//! | `weight_sync_interval`               | [`DriverConfigBuilder::sync_every`]  |
-//! | `run_duration` + `max_updates` / `steps` | [`DriverConfigBuilder::budget`]  |
-//! | `recorder`                           | [`DriverConfigBuilder::observe_with`] |
-//! | `build`                              | [`DriverConfigBuilder::try_build`]   |
 
-use crate::chaos::{ChaosApexConfig, ChaosApexConfigBuilder};
-use crate::impala_driver::{ImpalaDriverConfig, ImpalaDriverConfigBuilder};
-use crate::ray::{ApexRunConfig, ApexRunConfigBuilder};
+use crate::chaos::ChaosApexConfig;
+use crate::impala_driver::ImpalaDriverConfig;
+use crate::ray::ApexRunConfig;
 use rlgraph_core::RlResult;
 use rlgraph_obs::Recorder;
 use std::time::Duration;
@@ -86,11 +76,8 @@ pub struct DriverCommon {
     pub budget: RunBudget,
 }
 
-/// The uniform write-side vocabulary over driver config builders.
-///
-/// Spellings the concrete builders keep for compatibility
-/// (`num_workers`, `weight_sync_interval`, `run_duration`, …) are
-/// deprecated in favour of these; see the module docs for the mapping.
+/// The uniform write-side vocabulary over driver config builders: the
+/// only way to set the shared knobs and to build.
 pub trait DriverConfigBuilder: Sized {
     /// The config type this builder produces.
     type Config;
@@ -135,34 +122,6 @@ impl ApexRunConfig {
     }
 }
 
-impl DriverConfigBuilder for ApexRunConfigBuilder {
-    type Config = ApexRunConfig;
-
-    fn parallelism(self, n: usize) -> Self {
-        self.num_workers(n)
-    }
-
-    fn sync_every(self, k: u64) -> Self {
-        self.weight_sync_interval(k)
-    }
-
-    fn budget(self, budget: RunBudget) -> Self {
-        let b = match budget.wall {
-            Some(d) => self.run_duration(d),
-            None => self,
-        };
-        b.max_updates(budget.max_updates)
-    }
-
-    fn observe_with(self, recorder: Recorder) -> Self {
-        self.recorder(recorder)
-    }
-
-    fn try_build(self) -> RlResult<ApexRunConfig> {
-        self.build()
-    }
-}
-
 impl ImpalaDriverConfig {
     /// The uniform view over this config's shared knobs.
     pub fn common(&self) -> DriverCommon {
@@ -180,34 +139,6 @@ impl ImpalaDriverConfig {
     }
 }
 
-impl DriverConfigBuilder for ImpalaDriverConfigBuilder {
-    type Config = ImpalaDriverConfig;
-
-    fn parallelism(self, n: usize) -> Self {
-        self.num_actors(n)
-    }
-
-    fn sync_every(self, k: u64) -> Self {
-        self.weight_sync_interval(k)
-    }
-
-    fn budget(self, budget: RunBudget) -> Self {
-        let b = match budget.wall {
-            Some(d) => self.run_duration(d),
-            None => self,
-        };
-        b.max_updates(budget.max_updates)
-    }
-
-    fn observe_with(self, recorder: Recorder) -> Self {
-        self.recorder(recorder)
-    }
-
-    fn try_build(self) -> RlResult<ImpalaDriverConfig> {
-        self.build()
-    }
-}
-
 impl ChaosApexConfig {
     /// The uniform view over this config's shared knobs.
     pub fn common(&self) -> DriverCommon {
@@ -218,33 +149,6 @@ impl ChaosApexConfig {
             sync_every: self.weight_sync_interval,
             budget: RunBudget { wall: None, max_updates: None, steps: Some(self.steps) },
         }
-    }
-}
-
-impl DriverConfigBuilder for ChaosApexConfigBuilder {
-    type Config = ChaosApexConfig;
-
-    fn parallelism(self, n: usize) -> Self {
-        self.num_workers(n)
-    }
-
-    fn sync_every(self, k: u64) -> Self {
-        self.weight_sync_interval(k)
-    }
-
-    fn budget(self, budget: RunBudget) -> Self {
-        match budget.steps {
-            Some(n) => self.steps(n),
-            None => self,
-        }
-    }
-
-    fn observe_with(self, recorder: Recorder) -> Self {
-        self.recorder(recorder)
-    }
-
-    fn try_build(self) -> RlResult<ChaosApexConfig> {
-        self.build()
     }
 }
 

@@ -1,5 +1,5 @@
-//! Ape-X as a fragment graph: the declarative re-statement of the
-//! hand-woven [`run_apex`](crate::ray::run_apex_legacy) driver.
+//! Ape-X as a fragment graph: the declaration behind
+//! [`run_apex`](crate::ray::run_apex).
 //!
 //! The topology is four typed stages —
 //!
@@ -12,11 +12,10 @@
 //! — and the physical build is a [`PlacementMap`]: replay runs on
 //! supervised actor threads (the default) or inline in the learner
 //! thread ([`Placement::InThread`]), behind the placement-transparent
-//! [`ShardPort`] handle. The worker and learner loop bodies are the
-//! same algorithm as the legacy driver, so a fixed-task-budget run
-//! (`max_tasks_per_worker`) is same-seed bit-identical to it — the
-//! parity suite in `tests/fragment_parity.rs` holds both executors to
-//! that contract.
+//! [`ShardPort`] handle. A fixed-task-budget run
+//! (`max_tasks_per_worker`) is a pure function of the seed: the parity
+//! suite in `tests/fragment_parity.rs` holds it to a frozen reference
+//! and to bit-identity across runs and placements.
 
 use super::edge::EdgeLane;
 use super::exec::FragmentExecutor;
@@ -26,7 +25,7 @@ use crate::fault::FaultKind;
 use crate::ray::{apex_worker_epsilon, ApexRunConfig, ApexRunStats};
 use crate::retry::{RetryPolicy, ThreadSleeper};
 use crate::shard::{
-    serve_shard, ReplayShard, ShardBatch, ShardCore, ShardRequest, ShardServeMetrics,
+    serve_shard, ShardBatch, ShardCore, ShardRequest, ShardServeMetrics, DEFAULT_MAILBOX_CAPACITY,
 };
 use crossbeam::channel::bounded;
 use parking_lot::Mutex;
@@ -45,9 +44,8 @@ type WeightMsg = (u64, Vec<(String, Tensor)>);
 
 /// The Ape-X topology as a fragment graph (see the module docs for the
 /// shape). Stage replica counts come from the config; edge bounds are
-/// the same the hand-woven driver used (shard mailboxes of
-/// [`ReplayShard::DEFAULT_MAILBOX_CAPACITY`], latest-wins weight
-/// slots).
+/// shard mailboxes of [`DEFAULT_MAILBOX_CAPACITY`] and latest-wins
+/// weight slots.
 ///
 /// # Errors
 ///
@@ -60,16 +58,14 @@ pub fn apex_graph(config: &ApexRunConfig) -> RlResult<FragmentGraph> {
         .stage("replay", StageKind::Replay, config.num_shards)
         .stage("learn", StageKind::Learn, 1)
         .stage("broadcast", StageKind::Broadcast, 1)
-        .edge("rollout", "replay", ReplayShard::DEFAULT_MAILBOX_CAPACITY)
-        .alias("shard.mailbox_depth")
+        .edge("rollout", "replay", DEFAULT_MAILBOX_CAPACITY)
         .edge("replay", "learn", 1)
         .latest_edge("broadcast", "rollout")
         .build()
 }
 
-/// The placement the legacy threaded driver used: rollout and replay on
-/// supervised actor threads, learner and broadcast inline on the caller
-/// thread.
+/// The default placement: rollout and replay on supervised actor
+/// threads, learner and broadcast inline on the caller thread.
 pub fn default_apex_placement() -> PlacementMap {
     PlacementMap::new()
         .place("rollout", Placement::ActorThread)
@@ -176,8 +172,7 @@ impl ShardPort {
         }
     }
 
-    /// Pushes updated priorities back (fire-and-forget, as in the
-    /// legacy driver).
+    /// Pushes updated priorities back (fire-and-forget).
     pub fn update_priorities(&self, indices: Vec<usize>, priorities: Vec<f32>) {
         match self {
             ShardPort::Inline(core, m) => {
@@ -202,11 +197,8 @@ impl ShardPort {
 
 /// Runs Ape-X as a fragment graph under the given placement.
 ///
-/// This is the executor behind [`run_apex`](crate::run_apex); the
-/// worker and learner bodies are the same algorithm as the legacy
-/// driver (same seeds, same epsilon ladder, same fault draws), routed
-/// through [`EdgeLane`]s and [`ShardPort`]s instead of hand-woven
-/// channels.
+/// This is the executor behind [`run_apex`](crate::run_apex): worker
+/// and learner bodies routed through [`EdgeLane`]s and [`ShardPort`]s.
 ///
 /// # Errors
 ///
@@ -280,7 +272,7 @@ where
     // Weight broadcast lanes (latest-wins, one per worker).
     let weight_lanes = exec.lanes::<WeightMsg>("broadcast", "rollout")?;
 
-    // Rollout fragments: the legacy worker body over ports and lanes.
+    // Rollout fragments: the worker body over ports and lanes.
     {
         let ports = ports.clone();
         let weight_lanes = weight_lanes.clone();
@@ -323,11 +315,11 @@ where
                 incarnation += 1;
                 let mut worker = ApexWorker::new(cfg, envs)?;
                 let sleeper = ThreadSleeper::new();
-                let task_us = rec.histogram_aliased("frag.rollout.task_us", &["worker.task_us"]);
+                let task_us = rec.histogram("frag.rollout.task_us");
                 let sync_latency_us = rec.histogram("weight_sync.latency_us");
-                let frames_ctr = rec.counter_aliased("frag.rollout.frames", &["worker.frames"]);
+                let frames_ctr = rec.counter("frag.rollout.frames");
                 let reward_gauge = rec.gauge("train.episode_reward");
-                let crash_ctr = rec.counter("chaos.worker_crashes");
+                let crash_ctr = rec.counter("frag.rollout.crashes");
                 while !stop.load(Ordering::Relaxed) && max_tasks.map(|k| task < k).unwrap_or(true) {
                     if let Some((sent_us, weights)) = wrx.try_recv() {
                         sync_latency_us.record(rec.now_micros().saturating_sub(sent_us) as f64);
@@ -377,12 +369,11 @@ where
         let state_space = env_factory(0, 0).state_space();
         let action_space = env_factory(0, 0).action_space();
         let mut learner = DqnAgent::new(config.agent.clone(), &state_space, &action_space)?;
-        let sample_wait_us =
-            recorder.histogram_aliased("frag.learn.sample_wait_us", &["learner.sample_wait_us"]);
-        let step_us = recorder.histogram_aliased("frag.learn.step_us", &["learner.step_us"]);
-        let updates_ctr = recorder.counter_aliased("frag.learn.updates", &["learner.updates"]);
+        let sample_wait_us = recorder.histogram("frag.learn.sample_wait_us");
+        let step_us = recorder.histogram("frag.learn.step_us");
+        let updates_ctr = recorder.counter("frag.learn.updates");
         let loss_gauge = recorder.gauge("train.loss");
-        let dropped_sync_ctr = recorder.counter("chaos.dropped_syncs");
+        let dropped_sync_ctr = recorder.counter("frag.broadcast.dropped_syncs");
         let mut losses = Vec::new();
         let mut updates: u64 = 0;
         let mut rr = 0usize;
@@ -506,8 +497,7 @@ mod tests {
         assert_eq!(g.replicas("replay"), 2);
         assert_eq!(g.replicas("learn"), 1);
         let edge = g.edge("rollout", "replay").unwrap();
-        assert_eq!(edge.capacity, ReplayShard::DEFAULT_MAILBOX_CAPACITY);
-        assert_eq!(edge.legacy_alias.as_deref(), Some("shard.mailbox_depth"));
+        assert_eq!(edge.capacity, DEFAULT_MAILBOX_CAPACITY);
         default_apex_placement().validate(&g, super::super::PlacementCaps::local()).unwrap();
     }
 

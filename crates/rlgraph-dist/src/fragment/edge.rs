@@ -2,18 +2,16 @@
 //! [`EdgeDecl`] materializes into, instrumented under the uniform
 //! `frag.<stage>.*` metric scheme.
 //!
-//! One [`EdgeLane`] is created per *consumer replica* — the same
-//! fan-out shape the hand-woven drivers used (one mailbox per replay
-//! shard, one weight slot per worker) — wrapping the existing crossbeam
+//! One [`EdgeLane`] is created per *consumer replica* (one mailbox per
+//! replay shard, one weight slot per worker), wrapping the crossbeam
 //! mailbox machinery rather than replacing it. Depth gauges are emitted
-//! as `frag.<to>.mailbox_depth` with the edge's declared legacy alias
-//! (`shard.mailbox_depth`, `queue.depth`, ...) kept up to date for
-//! dashboards predating the rename.
+//! as `frag.<to>.mailbox_depth`, saturation counts as
+//! `frag.<to>.mailbox_full`.
 
 use super::graph::{EdgeDecl, EdgePolicy, FragmentGraph};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use rlgraph_core::{CoreError, RlError, RlResult};
-use rlgraph_obs::{AliasedCounter, AliasedGauge, Recorder};
+use rlgraph_obs::{Counter, Gauge, Recorder};
 use std::time::Duration;
 
 /// One materialized lane of a declared edge: a bounded channel to a
@@ -23,8 +21,8 @@ pub struct EdgeLane<T> {
     rx: Receiver<T>,
     capacity: usize,
     policy: EdgePolicy,
-    depth: AliasedGauge,
-    full_ctr: AliasedCounter,
+    depth: Gauge,
+    full_ctr: Counter,
 }
 
 // Manual impls: channel handles clone/debug regardless of `T`, and lane
@@ -76,16 +74,13 @@ impl<T> EdgeLane<T> {
     /// Builds a single lane from an edge declaration.
     pub fn from_decl(decl: &EdgeDecl, recorder: &Recorder) -> EdgeLane<T> {
         let (tx, rx) = bounded(decl.capacity);
-        let primary_depth = format!("frag.{}.mailbox_depth", decl.to);
-        let primary_full = format!("frag.{}.mailbox_full", decl.to);
-        let aliases: Vec<&str> = decl.legacy_alias.as_deref().into_iter().collect();
         EdgeLane {
             tx,
             rx,
             capacity: decl.capacity,
             policy: decl.policy,
-            depth: recorder.gauge_aliased(&primary_depth, &aliases),
-            full_ctr: recorder.counter_aliased(&primary_full, &["shard.mailbox_full"]),
+            depth: recorder.gauge(&format!("frag.{}.mailbox_depth", decl.to)),
+            full_ctr: recorder.counter(&format!("frag.{}.mailbox_full", decl.to)),
         }
     }
 
@@ -109,9 +104,8 @@ impl<T> EdgeLane<T> {
         self.tx.is_empty()
     }
 
-    /// The lane's depth gauge (primary `frag.<stage>.mailbox_depth`
-    /// plus the declared legacy alias).
-    pub fn depth_gauge(&self) -> &AliasedGauge {
+    /// The lane's depth gauge (`frag.<stage>.mailbox_depth`).
+    pub fn depth_gauge(&self) -> &Gauge {
         &self.depth
     }
 
@@ -213,7 +207,6 @@ mod tests {
             .stage("rollout", StageKind::Rollout, 2)
             .stage("replay", StageKind::Replay, 3)
             .edge("rollout", "replay", 2)
-            .alias("shard.mailbox_depth")
             .latest_edge("replay", "rollout")
             .build()
             .unwrap()
@@ -257,13 +250,12 @@ mod tests {
     }
 
     #[test]
-    fn depth_gauge_tracks_primary_and_alias() {
+    fn depth_gauge_tracks_the_lane() {
         let rec = Recorder::wall();
         let g = graph();
         let lane = EdgeLane::<u32>::materialize(&g, "rollout", "replay", &rec).unwrap().remove(0);
         lane.send(7).unwrap();
         assert_eq!(rec.gauge("frag.replay.mailbox_depth").value(), 1.0);
-        assert_eq!(rec.gauge("shard.mailbox_depth").value(), 1.0);
         assert_eq!(lane.recv(), Some(7));
         assert_eq!(rec.gauge("frag.replay.mailbox_depth").value(), 0.0);
     }

@@ -78,7 +78,10 @@ impl FragmentExecutor {
 
     /// Spawns every replica of an [`Placement::ActorThread`] stage.
     /// `make_body(replica)` builds the supervised loop body for one
-    /// replica; bodies are re-invoked on supervised restarts.
+    /// replica; bodies are re-invoked on supervised restarts. Every
+    /// spawned replica runs its body at least once, even when the stage
+    /// is stopped first (see [`Supervisor::spawn`]), so bodies poll the
+    /// stop flag themselves.
     ///
     /// # Errors
     ///
@@ -172,7 +175,9 @@ impl FragmentExecutor {
 
     /// Stops and joins every remaining stage in reverse spawn order
     /// (consumers outlive producers) and returns the per-stage
-    /// supervision reports.
+    /// supervision reports. A replica whose first run had not started
+    /// when the flag went up still gets that run, so its report is the
+    /// body's own outcome, never a `Stopped` that hides a fatal error.
     ///
     /// # Errors
     ///
@@ -197,7 +202,7 @@ impl FragmentExecutor {
 }
 
 /// A replica that died for good (fatal error or exhausted restart
-/// budget) fails the run, exactly as the hand-woven drivers did.
+/// budget) fails the run.
 fn fold_outcomes(report: &SupervisionReport) -> RlResult<()> {
     for actor in &report.actors {
         if let ActorOutcome::Fatal(reason) | ActorOutcome::GaveUp(reason) = &actor.outcome {

@@ -91,10 +91,6 @@ pub struct EdgeDecl {
     pub capacity: usize,
     /// What happens when the bound is hit.
     pub policy: EdgePolicy,
-    /// Legacy metric name this edge's depth gauge stays aliased to
-    /// (e.g. `shard.mailbox_depth`), for dashboards predating the
-    /// uniform `frag.<stage>.mailbox_depth` scheme.
-    pub legacy_alias: Option<String>,
 }
 
 /// A validated fragment graph: the declarative description one executor
@@ -190,7 +186,6 @@ impl FragmentGraphBuilder {
             to: to.to_string(),
             capacity,
             policy: EdgePolicy::Block,
-            legacy_alias: None,
         });
         self
     }
@@ -203,17 +198,7 @@ impl FragmentGraphBuilder {
             to: to.to_string(),
             capacity: 1,
             policy: EdgePolicy::Latest,
-            legacy_alias: None,
         });
-        self
-    }
-
-    /// Attaches a legacy metric alias to the most recently declared
-    /// edge's depth gauge.
-    pub fn alias(mut self, legacy_name: &str) -> Self {
-        if let Some(e) = self.edges.last_mut() {
-            e.legacy_alias = Some(legacy_name.to_string());
-        }
         self
     }
 
@@ -298,7 +283,6 @@ mod tests {
             .stage("replay", StageKind::Replay, 2)
             .stage("learn", StageKind::Learn, 1)
             .edge("rollout", "replay", 256)
-            .alias("shard.mailbox_depth")
             .latest_edge("learn", "rollout")
             .build()
             .unwrap();
@@ -307,7 +291,6 @@ mod tests {
         assert_eq!(g.replicas("missing"), 0);
         let e = g.edge("rollout", "replay").unwrap();
         assert_eq!(e.capacity, 256);
-        assert_eq!(e.legacy_alias.as_deref(), Some("shard.mailbox_depth"));
         assert_eq!(g.edge("learn", "rollout").unwrap().policy, EdgePolicy::Latest);
         assert_eq!(g.stage_of_kind(StageKind::Learn).unwrap().name, "learn");
     }

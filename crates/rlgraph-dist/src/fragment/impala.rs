@@ -1,5 +1,5 @@
-//! IMPALA as a fragment graph: the declarative re-statement of the
-//! non-centralized [`run_impala`](crate::impala_driver::run_impala_legacy)
+//! IMPALA as a fragment graph: the declaration behind the
+//! non-centralized [`run_impala`](crate::impala_driver::run_impala)
 //! driver.
 //!
 //! ```text
@@ -14,8 +14,7 @@
 //! broadcast edge is the versioned [`WeightHub`] actors poll. The graph
 //! declaration still governs replica counts, placement validation, and
 //! the metric naming: queue depth is emitted as
-//! `frag.learn.mailbox_depth` with the historical `queue.depth` kept as
-//! a live alias.
+//! `frag.learn.mailbox_depth`.
 
 use super::exec::FragmentExecutor;
 use super::graph::{FragmentGraph, StageKind};
@@ -47,13 +46,12 @@ pub fn impala_graph(config: &ImpalaDriverConfig) -> RlResult<FragmentGraph> {
         .stage("learn", StageKind::Learn, 1)
         .stage("broadcast", StageKind::Broadcast, 1)
         .edge("rollout", "learn", config.agent.queue_capacity)
-        .alias("queue.depth")
         .latest_edge("broadcast", "rollout")
         .build()
 }
 
-/// The placement the legacy driver used: actors on supervised threads,
-/// learner and broadcast inline.
+/// The default placement: actors on supervised threads, learner and
+/// broadcast inline.
 pub fn default_impala_placement() -> PlacementMap {
     PlacementMap::new()
         .place("rollout", Placement::ActorThread)
@@ -63,9 +61,7 @@ pub fn default_impala_placement() -> PlacementMap {
 
 /// Runs IMPALA as a fragment graph under the given placement.
 ///
-/// This is the executor behind [`run_impala`](crate::run_impala); the
-/// actor and learner bodies are the same algorithm as the legacy driver
-/// (same seeds, same lag-bounded weight pulls, same fault draws).
+/// This is the executor behind [`run_impala`](crate::run_impala).
 ///
 /// # Errors
 ///
@@ -137,12 +133,11 @@ where
             move |stop: &AtomicBool| {
                 let envs = VectorEnv::new((0..envs_per_actor).map(|e| env_factory(a, e)).collect())
                     .map_err(|e| RlError::Core(CoreError::new(e.message())))?;
-                let rollout_us =
-                    rec.histogram_aliased("frag.rollout.rollout_us", &["actor.rollout_us"]);
-                let frames_ctr = rec.counter_aliased("frag.rollout.frames", &["actor.frames"]);
+                let rollout_us = rec.histogram("frag.rollout.rollout_us");
+                let frames_ctr = rec.counter("frag.rollout.frames");
                 let reward_gauge = rec.gauge("train.episode_reward");
-                let forced_sync_ctr = rec.counter("chaos.forced_syncs");
-                let crash_ctr = rec.counter("chaos.worker_crashes");
+                let forced_sync_ctr = rec.counter("frag.rollout.forced_syncs");
+                let crash_ctr = rec.counter("frag.rollout.crashes");
                 let mut actor = ImpalaActor::new(&agent_cfg, envs, queue.clone())?;
                 let mut frames_before = 0u64;
                 let mut weight_version = 0u64;
@@ -208,10 +203,10 @@ where
             queue.clone(),
         )?;
         let mut losses = Vec::new();
-        let learn_us = recorder.histogram_aliased("frag.learn.step_us", &["learner.step_us"]);
-        let queue_depth = recorder.gauge_aliased("frag.learn.mailbox_depth", &["queue.depth"]);
+        let learn_us = recorder.histogram("frag.learn.step_us");
+        let queue_depth = recorder.gauge("frag.learn.mailbox_depth");
         let loss_gauge = recorder.gauge("train.loss");
-        let updates_ctr = recorder.counter_aliased("frag.learn.updates", &["learner.updates"]);
+        let updates_ctr = recorder.counter("frag.learn.updates");
         while Instant::now() < deadline
             && config.max_updates.map(|m| learner.num_updates() < m).unwrap_or(true)
         {
@@ -305,7 +300,6 @@ mod tests {
         assert_eq!(g.replicas("learn"), 1);
         let edge = g.edge("rollout", "learn").unwrap();
         assert_eq!(edge.capacity, 4);
-        assert_eq!(edge.legacy_alias.as_deref(), Some("queue.depth"));
         default_impala_placement().validate(&g, super::super::PlacementCaps::local()).unwrap();
     }
 

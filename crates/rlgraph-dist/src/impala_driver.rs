@@ -4,27 +4,18 @@
 //! the shared in-graph blocking queue (rollouts) and periodic weight
 //! snapshots (parameter-server pull) — no central coordination loop.
 
-use crate::fault::{FaultKind, FaultPlan};
-use crate::retry::RetryPolicy;
-use crate::supervisor::{ActorOutcome, Supervisor};
-use crate::sync::WeightHub;
-use rlgraph_agents::impala::{ImpalaActor, ImpalaLearner};
+use crate::driver::{DriverConfigBuilder, RunBudget};
+use crate::fault::FaultPlan;
 use rlgraph_agents::ImpalaConfig;
 use rlgraph_core::{CoreError, RlError, RlResult};
-use rlgraph_envs::{Env, VectorEnv};
-use rlgraph_graph::TensorQueue;
+use rlgraph_envs::Env;
 use rlgraph_obs::Recorder;
-use rlgraph_spaces::Space;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Configuration of an IMPALA run.
 ///
 /// Prefer [`ImpalaDriverConfig::builder`], which validates invariants up
-/// front. Struct-literal construction is kept for backward compatibility
-/// but **deprecated in favour of the builder** — literals bypass
-/// validation.
+/// front; a struct literal bypasses validation.
 #[derive(Debug, Clone)]
 pub struct ImpalaDriverConfig {
     /// agent configuration
@@ -85,7 +76,9 @@ impl ImpalaDriverConfig {
     }
 }
 
-/// Validating builder for [`ImpalaDriverConfig`].
+/// Validating builder for [`ImpalaDriverConfig`]. The knobs every
+/// driver shares (parallelism, sync cadence, budget, recorder, build) are
+/// set through [`DriverConfigBuilder`].
 #[derive(Debug, Clone)]
 pub struct ImpalaDriverConfigBuilder {
     draft: ImpalaDriverConfig,
@@ -98,44 +91,9 @@ impl ImpalaDriverConfigBuilder {
         self
     }
 
-    /// Number of actor threads. Deprecated spelling of
-    /// [`parallelism`](crate::DriverConfigBuilder::parallelism).
-    pub fn num_actors(mut self, n: usize) -> Self {
-        self.draft.num_actors = n;
-        self
-    }
-
     /// Environments per actor.
     pub fn envs_per_actor(mut self, n: usize) -> Self {
         self.draft.envs_per_actor = n;
-        self
-    }
-
-    /// Weight refresh cadence in rollouts. Deprecated spelling of
-    /// [`sync_every`](crate::DriverConfigBuilder::sync_every).
-    pub fn weight_sync_interval(mut self, k: u64) -> Self {
-        self.draft.weight_sync_interval = k;
-        self
-    }
-
-    /// Wall-clock run budget. Deprecated spelling of
-    /// [`budget`](crate::DriverConfigBuilder::budget).
-    pub fn run_duration(mut self, d: Duration) -> Self {
-        self.draft.run_duration = d;
-        self
-    }
-
-    /// Optional learner update cap. Deprecated spelling of
-    /// [`budget`](crate::DriverConfigBuilder::budget).
-    pub fn max_updates(mut self, cap: Option<u64>) -> Self {
-        self.draft.max_updates = cap;
-        self
-    }
-
-    /// Observability recorder. Deprecated spelling of
-    /// [`observe_with`](crate::DriverConfigBuilder::observe_with).
-    pub fn recorder(mut self, recorder: Recorder) -> Self {
-        self.draft.recorder = recorder;
         self
     }
 
@@ -163,13 +121,38 @@ impl ImpalaDriverConfigBuilder {
         self.draft.max_actor_restarts = n;
         self
     }
+}
 
-    /// Validates invariants and produces the config.
-    ///
+impl DriverConfigBuilder for ImpalaDriverConfigBuilder {
+    type Config = ImpalaDriverConfig;
+
+    fn parallelism(mut self, n: usize) -> Self {
+        self.draft.num_actors = n;
+        self
+    }
+
+    fn sync_every(mut self, k: u64) -> Self {
+        self.draft.weight_sync_interval = k;
+        self
+    }
+
+    fn budget(mut self, budget: RunBudget) -> Self {
+        if let Some(d) = budget.wall {
+            self.draft.run_duration = d;
+        }
+        self.draft.max_updates = budget.max_updates;
+        self
+    }
+
+    fn observe_with(mut self, recorder: Recorder) -> Self {
+        self.draft.recorder = recorder;
+        self
+    }
+
     /// # Errors
     ///
     /// [`RlError::Core`] naming the first violated invariant.
-    pub fn build(self) -> RlResult<ImpalaDriverConfig> {
+    fn try_build(self) -> RlResult<ImpalaDriverConfig> {
         let c = self.draft;
         let fail = |msg: &str| Err(RlError::Core(CoreError::new(msg)));
         if c.num_actors == 0 || c.envs_per_actor == 0 {
@@ -234,9 +217,7 @@ impl crate::fragment::RunReport for ImpalaRunStats {
 /// This is a thin wrapper over the fragment executor: the run is
 /// declared as a [fragment graph](crate::fragment::impala_graph) and
 /// executed under the
-/// [default placement](crate::fragment::default_impala_placement). The
-/// hand-woven driver it replaced is kept as [`run_impala_legacy`]; the
-/// parity suite holds both to same-seed behavioral equality.
+/// [default placement](crate::fragment::default_impala_placement).
 ///
 /// # Errors
 ///
@@ -253,200 +234,6 @@ where
     )
 }
 
-/// The original hand-woven IMPALA driver (threads and the shared queue
-/// wired directly, no fragment layer). Kept as the behavioral reference
-/// for the fragment executor's parity suite; prefer [`run_impala`].
-///
-/// Actors run under a [`Supervisor`]: panics and injected crashes
-/// ([`ImpalaDriverConfig::fault_plan`]) restart the actor with backoff
-/// (its next rollout re-syncs weights). Policy lag is bounded: an actor
-/// more than [`ImpalaDriverConfig::max_weight_lag`] versions stale pulls
-/// off-cadence.
-///
-/// # Errors
-///
-/// Propagates build errors; an actor that dies for good surfaces as
-/// [`RlError::ActorCrashed`].
-pub fn run_impala_legacy<F>(config: ImpalaDriverConfig, env_factory: F) -> RlResult<ImpalaRunStats>
-where
-    F: Fn(usize, usize) -> Box<dyn Env> + Send + Sync + 'static,
-{
-    let start = Instant::now();
-    let recorder = config.recorder.clone();
-    let queue = TensorQueue::new("impala-rollouts", config.agent.queue_capacity);
-    let frames_total = Arc::new(AtomicU64::new(0));
-    let returns: Arc<parking_lot::Mutex<Vec<f32>>> = Arc::new(parking_lot::Mutex::new(Vec::new()));
-    let env_factory = Arc::new(env_factory);
-
-    let state_space: Space = env_factory(0, 0).state_space();
-    let num_actions = env_factory(0, 0)
-        .action_space()
-        .num_categories()
-        .map_err(|e| RlError::Core(CoreError::from(e)))?;
-
-    // Learner weights published through a versioned hub; actors poll and
-    // only touch the snapshot lock when a newer version exists.
-    let weight_hub = Arc::new(WeightHub::new());
-
-    let mut supervisor = Supervisor::with_recorder(
-        RetryPolicy {
-            max_attempts: config.max_actor_restarts,
-            base_delay: Duration::from_millis(1),
-            max_delay: Duration::from_millis(50),
-            multiplier: 2.0,
-            deadline: None,
-        },
-        recorder.clone(),
-    );
-    for a in 0..config.num_actors {
-        let queue = queue.clone();
-        let frames_total = frames_total.clone();
-        let returns = returns.clone();
-        let env_factory = env_factory.clone();
-        let weight_hub = weight_hub.clone();
-        let mut agent_cfg = config.agent.clone();
-        agent_cfg.seed = config.agent.seed.wrapping_add(a as u64 * 6151);
-        let envs_per_actor = config.envs_per_actor;
-        let sync_every = config.weight_sync_interval;
-        let max_lag = config.max_weight_lag;
-        let fault_plan = config.fault_plan.clone();
-        let max_rollouts = config.max_rollouts_per_actor;
-        let rec = recorder.clone();
-        // Persist across supervised restarts so injected-fault draws
-        // advance instead of re-crashing at the same coordinate.
-        let mut rollouts: u64 = 0;
-        supervisor.spawn(&format!("impala-actor-{}", a), move |stop| {
-            let envs = VectorEnv::new((0..envs_per_actor).map(|e| env_factory(a, e)).collect())
-                .map_err(|e| RlError::Core(CoreError::new(e.message())))?;
-            let rollout_us = rec.histogram("actor.rollout_us");
-            let frames_ctr = rec.counter("actor.frames");
-            let reward_gauge = rec.gauge("train.episode_reward");
-            let forced_sync_ctr = rec.counter("chaos.forced_syncs");
-            let crash_ctr = rec.counter("chaos.worker_crashes");
-            let mut actor = ImpalaActor::new(&agent_cfg, envs, queue.clone())?;
-            let mut frames_before = 0u64;
-            let mut weight_version = 0u64;
-            while !stop.load(Ordering::Relaxed)
-                && max_rollouts.map(|k| rollouts < k).unwrap_or(true)
-            {
-                // Scheduled pull every `sync_every` rollouts, plus a
-                // forced pull whenever the published version has run
-                // more than `max_lag` ahead (bounded staleness).
-                let lagging = weight_hub.version().saturating_sub(weight_version) > max_lag;
-                if rollouts.is_multiple_of(sync_every) || lagging {
-                    if let Some(snap) = weight_hub.poll(weight_version) {
-                        let _span = rec.span("actor.weight_sync");
-                        if lagging {
-                            forced_sync_ctr.inc();
-                        }
-                        actor.set_weights(&snap.weights)?;
-                        weight_version = snap.version;
-                    }
-                }
-                if fault_plan.draw(FaultKind::WorkerCrash, a, rollouts) {
-                    rollouts += 1;
-                    crash_ctr.inc();
-                    return Err(RlError::ActorCrashed {
-                        actor: format!("impala-actor-{}", a),
-                        reason: "injected fault".into(),
-                    });
-                }
-                let t0 = Instant::now();
-                let rollout_res = {
-                    let _span = rec.span("actor.rollout");
-                    actor.rollout()
-                };
-                match rollout_res {
-                    Ok(()) => rollout_us.record_duration(t0.elapsed()),
-                    Err(_) if stop.load(Ordering::Relaxed) => break,
-                    Err(e) => return Err(RlError::from(e)),
-                }
-                rollouts += 1;
-                let now = actor.env_frames();
-                frames_ctr.add(now - frames_before);
-                frames_total.fetch_add(now - frames_before, Ordering::Relaxed);
-                frames_before = now;
-                if let Some(r) = actor.mean_recent_return(20) {
-                    reward_gauge.set(r as f64);
-                    returns.lock().push(r);
-                }
-            }
-            Ok(())
-        });
-    }
-    let stop = supervisor.stop_flag();
-
-    // Learner loop.
-    let mut learner = ImpalaLearner::new(
-        &config.agent,
-        state_space,
-        num_actions,
-        config.envs_per_actor,
-        queue.clone(),
-    )?;
-    let mut losses = Vec::new();
-    let learn_us = recorder.histogram("learner.step_us");
-    let queue_depth = recorder.gauge("queue.depth");
-    let loss_gauge = recorder.gauge("train.loss");
-    let updates_ctr = recorder.counter("learner.updates");
-    let deadline = start + config.run_duration;
-    while Instant::now() < deadline
-        && config.max_updates.map(|m| learner.num_updates() < m).unwrap_or(true)
-    {
-        queue_depth.set(queue.len() as f64);
-        let t0 = Instant::now();
-        let learn_res = {
-            let _span = recorder.span("learner.step");
-            learner.learn()
-        };
-        match learn_res {
-            Ok(l) => {
-                learn_us.record_duration(t0.elapsed());
-                loss_gauge.set(l.total as f64);
-                updates_ctr.inc();
-                losses.push(l.total);
-                weight_hub.publish(learner.get_weights());
-            }
-            Err(_) => break,
-        }
-    }
-
-    // Finite rollout budgets exit on their own; raising the stop flag
-    // or closing the queue early would truncate them
-    // non-deterministically.
-    if config.max_rollouts_per_actor.is_none() {
-        stop.store(true, Ordering::Relaxed);
-        queue.close();
-    }
-    let report = supervisor.join();
-    if config.max_rollouts_per_actor.is_some() {
-        queue.close();
-    }
-    for actor in &report.actors {
-        if let ActorOutcome::Fatal(reason) | ActorOutcome::GaveUp(reason) = &actor.outcome {
-            return Err(RlError::ActorCrashed {
-                actor: actor.name.clone(),
-                reason: reason.clone(),
-            });
-        }
-    }
-
-    let wall_time = start.elapsed();
-    let env_frames = frames_total.load(Ordering::Relaxed);
-    let mean_return = {
-        let r = returns.lock();
-        r.last().copied()
-    };
-    Ok(ImpalaRunStats {
-        env_frames,
-        wall_time,
-        frames_per_second: env_frames as f64 / wall_time.as_secs_f64().max(1e-9),
-        updates: learner.num_updates(),
-        losses,
-        mean_return,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -456,11 +243,12 @@ mod tests {
 
     #[test]
     fn builder_validates() {
-        assert!(ImpalaDriverConfig::builder().build().is_ok());
-        assert!(ImpalaDriverConfig::builder().num_actors(0).build().is_err());
-        assert!(ImpalaDriverConfig::builder().weight_sync_interval(0).build().is_err());
-        assert!(ImpalaDriverConfig::builder().run_duration(Duration::ZERO).build().is_err());
-        assert!(ImpalaDriverConfig::builder().max_weight_lag(0).build().is_err());
+        assert!(ImpalaDriverConfig::builder().try_build().is_ok());
+        assert!(ImpalaDriverConfig::builder().parallelism(0).try_build().is_err());
+        assert!(ImpalaDriverConfig::builder().sync_every(0).try_build().is_err());
+        let zero_wall = RunBudget::wall(Duration::ZERO);
+        assert!(ImpalaDriverConfig::builder().budget(zero_wall).try_build().is_err());
+        assert!(ImpalaDriverConfig::builder().max_weight_lag(0).try_build().is_err());
     }
 
     #[test]
@@ -474,16 +262,15 @@ mod tests {
                 seed: 5,
                 ..ImpalaConfig::default()
             })
-            .num_actors(2)
+            .parallelism(2)
             .envs_per_actor(2)
-            .weight_sync_interval(2)
-            .run_duration(Duration::from_millis(1200))
-            .max_updates(Some(15))
+            .sync_every(2)
+            .budget(RunBudget::wall_or_updates(Duration::from_millis(1200), 15))
             .fault_plan(
                 crate::fault::FaultPlan::builder(21).worker_crash_rate(0.25).build().unwrap(),
             )
             .max_actor_restarts(64)
-            .build()
+            .try_build()
             .unwrap();
         let stats =
             run_impala(config, |a, e| Box::new(RandomEnv::new(&[3], 2, 16, (a * 10 + e) as u64)))

@@ -43,11 +43,11 @@ pub use fragment::{
     PlacementCaps, PlacementMap, RunReport, StageKind,
 };
 pub use impala_driver::{
-    run_impala, run_impala_legacy, ImpalaDriverConfig, ImpalaDriverConfigBuilder, ImpalaRunStats,
+    run_impala, ImpalaDriverConfig, ImpalaDriverConfigBuilder, ImpalaRunStats,
 };
-pub use ray::{run_apex, run_apex_legacy, ApexRunConfig, ApexRunConfigBuilder, ApexRunStats};
+pub use ray::{run_apex, ApexRunConfig, ApexRunConfigBuilder, ApexRunStats};
 pub use retry::{RetryPolicy, RetryPolicyBuilder, Sleep, ThreadSleeper, VirtualSleeper};
 pub use rlgraph_core::{RlError, RlResult, Severity};
-pub use shard::{MailboxError, ReplayShard, ShardCore, ShardRequest};
+pub use shard::{ShardCore, ShardRequest};
 pub use supervisor::{ActorOutcome, ActorReport, SupervisionReport, Supervisor};
 pub use sync::{snapshot_bytes, SubscriberTable, WeightHub, WeightsSnapshot};

@@ -6,29 +6,20 @@
 //! shards round-robin, update, push priorities back, and broadcast weights
 //! on a schedule. Threads + channels stand in for Ray actors + RPC.
 
-use crate::fault::{FaultKind, FaultPlan};
-use crate::retry::{RetryPolicy, ThreadSleeper};
-use crate::shard::{ReplayShard, ShardRequest};
-use crate::supervisor::Supervisor;
-use crossbeam::channel::{bounded, Sender, TrySendError};
-use parking_lot::Mutex;
-use rlgraph_agents::apex::ApexWorker;
-use rlgraph_agents::{DqnAgent, DqnConfig};
+use crate::driver::{DriverConfigBuilder, RunBudget};
+use crate::fault::FaultPlan;
+use crate::retry::RetryPolicy;
+use rlgraph_agents::DqnConfig;
 use rlgraph_core::{CoreError, RlError, RlResult};
-use rlgraph_envs::{Env, VectorEnv};
+use rlgraph_envs::Env;
 use rlgraph_obs::Recorder;
-use rlgraph_tensor::Tensor;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Configuration of an Ape-X run.
 ///
 /// Prefer [`ApexRunConfig::builder`], which validates ranges and
-/// cross-field invariants before the run starts. Direct struct-literal
-/// construction (`ApexRunConfig { .. }`) is kept for backward
-/// compatibility but **deprecated in favour of the builder**: literals
-/// bypass validation, so an inconsistent config only surfaces mid-run.
+/// cross-field invariants before the run starts; a struct literal
+/// bypasses validation, so an inconsistent config only surfaces mid-run.
 #[derive(Debug, Clone)]
 pub struct ApexRunConfig {
     /// learner/worker agent configuration
@@ -95,7 +86,9 @@ impl ApexRunConfig {
     }
 }
 
-/// Validating builder for [`ApexRunConfig`].
+/// Validating builder for [`ApexRunConfig`]. The knobs every driver
+/// shares (parallelism, sync cadence, budget, recorder, build) are set
+/// through [`DriverConfigBuilder`].
 #[derive(Debug, Clone)]
 pub struct ApexRunConfigBuilder {
     draft: ApexRunConfig,
@@ -105,13 +98,6 @@ impl ApexRunConfigBuilder {
     /// Learner/worker agent configuration.
     pub fn agent(mut self, agent: DqnConfig) -> Self {
         self.draft.agent = agent;
-        self
-    }
-
-    /// Number of worker actors. Deprecated spelling of
-    /// [`parallelism`](crate::DriverConfigBuilder::parallelism).
-    pub fn num_workers(mut self, n: usize) -> Self {
-        self.draft.num_workers = n;
         self
     }
 
@@ -133,38 +119,10 @@ impl ApexRunConfigBuilder {
         self
     }
 
-    /// Weight broadcast interval in learner updates. Deprecated
-    /// spelling of [`sync_every`](crate::DriverConfigBuilder::sync_every).
-    pub fn weight_sync_interval(mut self, k: u64) -> Self {
-        self.draft.weight_sync_interval = k;
-        self
-    }
-
-    /// Wall-clock run budget. Deprecated spelling of
-    /// [`budget`](crate::DriverConfigBuilder::budget).
-    pub fn run_duration(mut self, d: Duration) -> Self {
-        self.draft.run_duration = d;
-        self
-    }
-
-    /// Optional learner update cap. Deprecated spelling of
-    /// [`budget`](crate::DriverConfigBuilder::budget).
-    pub fn max_updates(mut self, cap: Option<u64>) -> Self {
-        self.draft.max_updates = cap;
-        self
-    }
-
     /// Optional fixed task budget per worker (see
     /// [`ApexRunConfig::max_tasks_per_worker`]).
     pub fn max_tasks_per_worker(mut self, cap: Option<u64>) -> Self {
         self.draft.max_tasks_per_worker = cap;
-        self
-    }
-
-    /// Observability recorder. Deprecated spelling of
-    /// [`observe_with`](crate::DriverConfigBuilder::observe_with).
-    pub fn recorder(mut self, recorder: Recorder) -> Self {
-        self.draft.recorder = recorder;
         self
     }
 
@@ -185,17 +143,41 @@ impl ApexRunConfigBuilder {
         self.draft.max_worker_restarts = n;
         self
     }
+}
 
-    /// Validates range and cross-field invariants and produces the
-    /// config.
-    ///
+impl DriverConfigBuilder for ApexRunConfigBuilder {
+    type Config = ApexRunConfig;
+
+    fn parallelism(mut self, n: usize) -> Self {
+        self.draft.num_workers = n;
+        self
+    }
+
+    fn sync_every(mut self, k: u64) -> Self {
+        self.draft.weight_sync_interval = k;
+        self
+    }
+
+    fn budget(mut self, budget: RunBudget) -> Self {
+        if let Some(d) = budget.wall {
+            self.draft.run_duration = d;
+        }
+        self.draft.max_updates = budget.max_updates;
+        self
+    }
+
+    fn observe_with(mut self, recorder: Recorder) -> Self {
+        self.draft.recorder = recorder;
+        self
+    }
+
     /// # Errors
     ///
     /// [`RlError::Core`] naming the first violated invariant
     /// (`num_workers/envs_per_worker/task_size/num_shards ≥ 1`,
     /// `weight_sync_interval ≥ 1`, positive `run_duration`, non-zero
     /// `max_updates` cap, `max_worker_restarts ≥ 1`).
-    pub fn build(self) -> RlResult<ApexRunConfig> {
+    fn try_build(self) -> RlResult<ApexRunConfig> {
         let c = self.draft;
         let fail = |msg: String| Err(RlError::Core(CoreError::new(msg)));
         if c.num_workers == 0 || c.envs_per_worker == 0 {
@@ -292,9 +274,7 @@ pub fn apex_worker_epsilon(worker: usize, num_workers: usize) -> f32 {
 /// declared as a [fragment graph](crate::fragment::apex_graph) and
 /// executed under the
 /// [default placement](crate::fragment::default_apex_placement) —
-/// rollout and replay on supervised actor threads, learner inline. The
-/// hand-woven driver it replaced is kept as [`run_apex_legacy`]; the
-/// parity suite holds both to same-seed behavioral equality.
+/// rollout and replay on supervised actor threads, learner inline.
 ///
 /// # Errors
 ///
@@ -309,289 +289,6 @@ where
         crate::fragment::default_apex_placement(),
         env_factory,
     )
-}
-
-/// The original hand-woven Ape-X driver (threads and channels wired
-/// directly, no fragment layer). Kept as the behavioral reference for
-/// the fragment executor's parity suite; prefer [`run_apex`].
-///
-/// Workers run under a [`Supervisor`]: a panic or an injected crash
-/// ([`ApexRunConfig::fault_plan`]) restarts the worker with backoff
-/// instead of silently losing its actor for the rest of the run.
-/// Worker→shard submissions retry per [`ApexRunConfig::retry`] before
-/// falling back to a blocking send.
-///
-/// # Errors
-///
-/// Propagates build errors; a worker that ends fatally (or exhausts its
-/// restart budget) surfaces as [`RlError::ActorCrashed`].
-pub fn run_apex_legacy<F>(config: ApexRunConfig, env_factory: F) -> RlResult<ApexRunStats>
-where
-    F: Fn(usize, usize) -> Box<dyn Env> + Send + Sync + 'static,
-{
-    let start = Instant::now();
-    let frames = Arc::new(AtomicU64::new(0));
-    let samples = Arc::new(AtomicU64::new(0));
-    let rewards: Arc<Mutex<Vec<(f64, f32)>>> = Arc::new(Mutex::new(Vec::new()));
-    let env_factory = Arc::new(env_factory);
-
-    let recorder = config.recorder.clone();
-
-    // Replay shards.
-    let shards: Vec<ReplayShard> = (0..config.num_shards)
-        .map(|i| {
-            ReplayShard::spawn_with_recorder(
-                format!("replay-shard-{}", i),
-                config.agent.memory_capacity,
-                config.agent.alpha,
-                config.agent.seed.wrapping_add(1000 + i as u64),
-                recorder.clone(),
-            )
-        })
-        .collect();
-    let shard_senders: Vec<Sender<ShardRequest>> = shards.iter().map(|s| s.sender()).collect();
-
-    // Weight broadcast channels (capacity 1; stale snapshots are dropped).
-    let mut weight_txs = Vec::with_capacity(config.num_workers);
-
-    // Workers, under one-for-one supervision: crashes (injected or real
-    // panics) restart the worker with backoff instead of losing it.
-    let mut supervisor = Supervisor::with_recorder(
-        RetryPolicy {
-            max_attempts: config.max_worker_restarts,
-            base_delay: Duration::from_millis(1),
-            max_delay: Duration::from_millis(50),
-            multiplier: 2.0,
-            deadline: None,
-        },
-        recorder.clone(),
-    );
-    for w in 0..config.num_workers {
-        // Weight snapshots travel with their send timestamp (recorder
-        // clock) so workers can report weight-sync latency.
-        let (wtx, wrx) = bounded::<(u64, Vec<(String, Tensor)>)>(1);
-        weight_txs.push(wtx);
-        let rec = recorder.clone();
-        let frames = frames.clone();
-        let samples = samples.clone();
-        let rewards = rewards.clone();
-        let shard_senders = shard_senders.clone();
-        let env_factory = env_factory.clone();
-        let mut worker_cfg = config.agent.clone();
-        worker_cfg.memory_capacity = 16; // workers do not learn locally
-        worker_cfg.seed = config.agent.seed.wrapping_add(w as u64 * 7919);
-        let eps = apex_worker_epsilon(w, config.num_workers);
-        worker_cfg.epsilon =
-            rlgraph_agents::EpsilonSchedule { start: eps, end: eps, decay_steps: 1 };
-        let (task_size, envs_per_worker) = (config.task_size, config.envs_per_worker);
-        let fault_plan = config.fault_plan.clone();
-        let retry = config.retry.clone();
-        let max_tasks = config.max_tasks_per_worker;
-        // The body is re-invoked on every supervised restart: envs and
-        // the local agent are rebuilt, pending weight snapshots on `wrx`
-        // re-sync it, and the task counter keeps advancing so fault draws
-        // never repeat. Each reincarnation draws a fresh exploration seed
-        // — reusing the old one would replay the same action stream after
-        // every crash and fill the shards with duplicated trajectories.
-        let mut task: u64 = 0;
-        let mut incarnation: u64 = 0;
-        supervisor.spawn(&format!("apex-worker-{}", w), move |stop| {
-            let envs = VectorEnv::new((0..envs_per_worker).map(|e| env_factory(w, e)).collect())
-                .map_err(|e| RlError::Core(CoreError::new(e.message())))?;
-            let mut cfg = worker_cfg.clone();
-            cfg.seed = cfg.seed.wrapping_add(incarnation.wrapping_mul(0x9E37_79B9));
-            incarnation += 1;
-            let mut worker = ApexWorker::new(cfg, envs)?;
-            let sleeper = ThreadSleeper::new();
-            let task_us = rec.histogram("worker.task_us");
-            let sync_latency_us = rec.histogram("weight_sync.latency_us");
-            let frames_ctr = rec.counter("worker.frames");
-            let reward_gauge = rec.gauge("train.episode_reward");
-            let mailbox_full_ctr = rec.counter("shard.mailbox_full");
-            let crash_ctr = rec.counter("chaos.worker_crashes");
-            while !stop.load(Ordering::Relaxed) && max_tasks.map(|k| task < k).unwrap_or(true) {
-                if let Ok((sent_us, weights)) = wrx.try_recv() {
-                    sync_latency_us.record(rec.now_micros().saturating_sub(sent_us) as f64);
-                    worker.agent_mut().set_weights(&weights)?;
-                }
-                if fault_plan.draw(FaultKind::WorkerCrash, w, task) {
-                    task += 1;
-                    crash_ctr.inc();
-                    return Err(RlError::ActorCrashed {
-                        actor: format!("apex-worker-{}", w),
-                        reason: "injected fault".into(),
-                    });
-                }
-                let t0 = Instant::now();
-                let batch = {
-                    let _span = rec.span("worker.collect");
-                    worker.collect(task_size)?
-                };
-                task_us.record_duration(t0.elapsed());
-                frames.fetch_add(batch.env_frames, Ordering::Relaxed);
-                frames_ctr.add(batch.env_frames);
-                samples.fetch_add(batch.len() as u64, Ordering::Relaxed);
-                {
-                    let now = start.elapsed().as_secs_f64();
-                    let mut guard = rewards.lock();
-                    for r in &batch.episode_returns {
-                        guard.push((now, *r));
-                    }
-                    if let Some(r) = batch.episode_returns.last() {
-                        reward_gauge.set(*r as f64);
-                    }
-                }
-                let shard = &shard_senders[(task as usize) % shard_senders.len()];
-                // Typed saturation: retry with backoff on a full mailbox
-                // (Block backpressure — replay data is never shed), then
-                // fall back to a blocking send if the policy gives up.
-                let mut insert = Some(ShardRequest::Insert {
-                    transitions: batch.transitions,
-                    priorities: batch.priorities,
-                });
-                let submitted = retry.run(&sleeper, |_| {
-                    let req = insert.take().expect("request in flight");
-                    match shard.try_send(req) {
-                        Ok(()) => Ok(()),
-                        Err(TrySendError::Full(req)) => {
-                            mailbox_full_ctr.inc();
-                            insert = Some(req);
-                            Err(RlError::MailboxFull {
-                                capacity: ReplayShard::DEFAULT_MAILBOX_CAPACITY,
-                            })
-                        }
-                        Err(TrySendError::Disconnected(req)) => {
-                            insert = Some(req);
-                            Err(RlError::disconnected("replay shard"))
-                        }
-                    }
-                });
-                match submitted {
-                    Ok(()) => {}
-                    Err(RlError::RetriesExhausted { .. }) => {
-                        let req = insert.take().expect("request returned by retry");
-                        if shard.send(req).is_err() {
-                            break; // shards gone: shutting down
-                        }
-                    }
-                    Err(_) => break, // disconnected: shutting down
-                }
-                task += 1;
-            }
-            Ok(())
-        });
-    }
-    let stop = supervisor.stop_flag();
-
-    // Learner loop (this thread).
-    let state_space = env_factory(0, 0).state_space();
-    let action_space = env_factory(0, 0).action_space();
-    let mut learner = DqnAgent::new(config.agent.clone(), &state_space, &action_space)?;
-    let sample_wait_us = recorder.histogram("learner.sample_wait_us");
-    let step_us = recorder.histogram("learner.step_us");
-    let updates_ctr = recorder.counter("learner.updates");
-    let loss_gauge = recorder.gauge("train.loss");
-    let dropped_sync_ctr = recorder.counter("chaos.dropped_syncs");
-    let mut losses = Vec::new();
-    let mut updates: u64 = 0;
-    let deadline = start + config.run_duration;
-    let mut rr = 0usize;
-    while Instant::now() < deadline && config.max_updates.map(|m| updates < m).unwrap_or(true) {
-        let shard = &shard_senders[rr % shard_senders.len()];
-        rr += 1;
-        let (reply_tx, reply_rx) = bounded(1);
-        if shard
-            .send(ShardRequest::Sample {
-                batch: config.agent.batch_size,
-                beta: config.agent.beta,
-                reply: reply_tx,
-            })
-            .is_err()
-        {
-            break;
-        }
-        let t_wait = Instant::now();
-        let Ok(reply) = reply_rx.recv_timeout(Duration::from_millis(500)) else { continue };
-        sample_wait_us.record_duration(t_wait.elapsed());
-        let Some(batch) = reply else {
-            // shard not filled yet
-            std::thread::yield_now();
-            continue;
-        };
-        let [s, a, r, s2, t] = batch.tensors;
-        let t_step = Instant::now();
-        let (loss, td) = {
-            let _span = recorder.span("learner.step");
-            learner.update_from_batch([s, a, r, s2, t, batch.weights])?
-        };
-        step_us.record_duration(t_step.elapsed());
-        loss_gauge.set(loss as f64);
-        updates_ctr.inc();
-        losses.push(loss);
-        updates += 1;
-        let priorities = td.as_f32().map_err(CoreError::from)?.to_vec();
-        let _ = shard.send(ShardRequest::UpdatePriorities { indices: batch.indices, priorities });
-        if updates.is_multiple_of(config.weight_sync_interval) {
-            let _span = recorder.span("learner.weight_broadcast");
-            let weights = learner.get_weights();
-            let sent_us = recorder.now_micros();
-            for (w, tx) in weight_txs.iter().enumerate() {
-                // Injected sync fault: this worker misses the broadcast
-                // and keeps acting on stale weights until the next one.
-                if config.fault_plan.draw(FaultKind::DropWeightSync, w, updates) {
-                    dropped_sync_ctr.inc();
-                    continue;
-                }
-                match tx.try_send((sent_us, weights.clone())) {
-                    Ok(()) | Err(TrySendError::Full(_)) => {}
-                    Err(TrySendError::Disconnected(_)) => {}
-                }
-            }
-        }
-    }
-
-    // Drain any remaining run budget on pure sampling, then stop workers
-    // — unless they run to a fixed task budget, in which case they exit
-    // on their own and raising the stop flag early would truncate them
-    // non-deterministically.
-    if config.max_tasks_per_worker.is_none() {
-        while Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        stop.store(true, Ordering::Relaxed);
-    }
-    let report = supervisor.join();
-    for s in shards {
-        s.shutdown();
-    }
-    // A worker that died for good (fatal error or exhausted restart
-    // budget) fails the run, as the un-supervised executor did — but
-    // only after a full supervised recovery attempt.
-    for actor in &report.actors {
-        match &actor.outcome {
-            crate::supervisor::ActorOutcome::Fatal(reason)
-            | crate::supervisor::ActorOutcome::GaveUp(reason) => {
-                return Err(RlError::ActorCrashed {
-                    actor: actor.name.clone(),
-                    reason: reason.clone(),
-                });
-            }
-            _ => {}
-        }
-    }
-
-    let wall_time = start.elapsed();
-    let env_frames = frames.load(Ordering::Relaxed);
-    let reward_timeline = std::mem::take(&mut *rewards.lock());
-    Ok(ApexRunStats {
-        env_frames,
-        samples_collected: samples.load(Ordering::Relaxed),
-        wall_time,
-        frames_per_second: env_frames as f64 / wall_time.as_secs_f64().max(1e-9),
-        updates,
-        losses,
-        reward_timeline,
-    })
 }
 
 #[cfg(test)]
@@ -616,30 +313,32 @@ mod tests {
 
     #[test]
     fn builder_validates_and_matches_defaults() {
-        let built = ApexRunConfig::builder().build().unwrap();
+        let built = ApexRunConfig::builder().try_build().unwrap();
         let defaults = ApexRunConfig::default();
         assert_eq!(built.num_workers, defaults.num_workers);
         assert_eq!(built.weight_sync_interval, defaults.weight_sync_interval);
         assert!(!built.fault_plan.is_active());
 
-        assert!(ApexRunConfig::builder().num_workers(0).build().is_err());
-        assert!(ApexRunConfig::builder().task_size(0).build().is_err());
-        assert!(ApexRunConfig::builder().run_duration(Duration::ZERO).build().is_err());
-        assert!(ApexRunConfig::builder().max_updates(Some(0)).build().is_err());
-        assert!(ApexRunConfig::builder().max_worker_restarts(0).build().is_err());
+        assert!(ApexRunConfig::builder().parallelism(0).try_build().is_err());
+        assert!(ApexRunConfig::builder().task_size(0).try_build().is_err());
+        assert!(ApexRunConfig::builder()
+            .budget(RunBudget::wall(Duration::ZERO))
+            .try_build()
+            .is_err());
+        assert!(ApexRunConfig::builder().budget(RunBudget::updates(0)).try_build().is_err());
+        assert!(ApexRunConfig::builder().max_worker_restarts(0).try_build().is_err());
     }
 
     #[test]
     fn threaded_apex_survives_injected_worker_crashes() {
         let config = ApexRunConfig::builder()
             .agent(tiny_agent())
-            .num_workers(2)
+            .parallelism(2)
             .envs_per_worker(2)
             .task_size(32)
             .num_shards(2)
-            .weight_sync_interval(4)
-            .run_duration(Duration::from_millis(1200))
-            .max_updates(Some(20))
+            .sync_every(4)
+            .budget(RunBudget::wall_or_updates(Duration::from_millis(1200), 20))
             .fault_plan(
                 crate::fault::FaultPlan::builder(9)
                     .worker_crash_rate(0.3)
@@ -648,7 +347,7 @@ mod tests {
                     .unwrap(),
             )
             .max_worker_restarts(64)
-            .build()
+            .try_build()
             .unwrap();
         let stats =
             run_apex(config, |w, e| Box::new(RandomEnv::new(&[4], 2, 20, (w * 10 + e) as u64)))

@@ -2,20 +2,22 @@
 //! serves inserts, samples, and priority updates over channels (the
 //! paper's "4 instances of replay memories to feed the learner").
 
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
+use crossbeam::channel::{Receiver, Sender};
 use rlgraph_agents::components::memory::transitions_to_batch;
-use rlgraph_core::RlError;
 use rlgraph_memory::{PrioritizedReplay, Transition};
-use rlgraph_obs::Recorder;
+use rlgraph_obs::{Gauge, Histogram, Recorder};
 use rlgraph_tensor::Tensor;
-use std::thread::JoinHandle;
+
+/// Bound of a replay shard's request mailbox.
+pub const DEFAULT_MAILBOX_CAPACITY: usize = 256;
 
 /// The storage + sampling state of one replay shard, detached from any
 /// actor/thread: a prioritized buffer and its seeded sampling RNG.
 ///
-/// `shard_loop` (the threaded actor) and the deterministic chaos
-/// engine (`chaos` module) both drive this same core, so fault-injection
-/// runs exercise the production replay path rather than a model of it.
+/// [`serve_shard`] (the threaded replay stage) and the deterministic
+/// chaos engine (`chaos` module) both drive this same core, so
+/// fault-injection runs exercise the production replay path rather than
+/// a model of it.
 pub struct ShardCore {
     mem: PrioritizedReplay<Transition>,
     rng: rand::rngs::StdRng,
@@ -124,50 +126,6 @@ pub enum ShardRequest {
     Shutdown,
 }
 
-/// Why a non-blocking shard submission was not accepted.
-///
-/// Carries the rejected request back so callers can decide to retry,
-/// block, or shed — saturation is an explicit, typed condition rather
-/// than a silent drop.
-#[derive(Debug)]
-pub enum MailboxError {
-    /// The mailbox holds `capacity` pending requests; the actor is
-    /// saturated.
-    Full {
-        /// the mailbox bound
-        capacity: usize,
-        /// the rejected request, returned for retry/fallback
-        request: ShardRequest,
-    },
-    /// The actor has shut down and will never drain the mailbox.
-    Disconnected(ShardRequest),
-}
-
-impl std::fmt::Display for MailboxError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MailboxError::Full { capacity, .. } => {
-                write!(f, "shard mailbox full ({} pending requests)", capacity)
-            }
-            MailboxError::Disconnected(_) => write!(f, "shard actor disconnected"),
-        }
-    }
-}
-
-impl std::error::Error for MailboxError {}
-
-/// Folds a mailbox failure into the unified taxonomy. The rejected
-/// request payload is dropped — use the typed [`MailboxError`] directly
-/// when the request must be recovered for a retry with the same value.
-impl From<MailboxError> for RlError {
-    fn from(e: MailboxError) -> Self {
-        match e {
-            MailboxError::Full { capacity, .. } => RlError::MailboxFull { capacity },
-            MailboxError::Disconnected(_) => RlError::disconnected("replay shard"),
-        }
-    }
-}
-
 impl std::fmt::Debug for ShardRequest {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -186,165 +144,43 @@ impl std::fmt::Debug for ShardRequest {
     }
 }
 
-/// Handle to a running replay-shard actor.
-pub struct ReplayShard {
-    tx: Sender<ShardRequest>,
-    mailbox_capacity: usize,
-    handle: Option<JoinHandle<u64>>,
-}
-
-impl ReplayShard {
-    /// Spawns a shard actor with the given capacity/alpha.
-    pub fn spawn(name: String, capacity: usize, alpha: f32, seed: u64) -> Self {
-        Self::spawn_with_recorder(name, capacity, alpha, seed, Recorder::disabled())
-    }
-
-    /// Like [`ReplayShard::spawn`] with an observability recorder: the
-    /// actor records service-time spans/histograms per request kind, its
-    /// mailbox depth, and the buffer fill level.
-    pub fn spawn_with_recorder(
-        name: String,
-        capacity: usize,
-        alpha: f32,
-        seed: u64,
-        recorder: Recorder,
-    ) -> Self {
-        let (tx, rx): (Sender<ShardRequest>, Receiver<ShardRequest>) =
-            bounded(Self::DEFAULT_MAILBOX_CAPACITY);
-        let handle = std::thread::Builder::new()
-            .name(name)
-            .spawn(move || shard_loop(rx, capacity, alpha, seed, recorder))
-            .expect("spawn shard thread");
-        ReplayShard { tx, mailbox_capacity: Self::DEFAULT_MAILBOX_CAPACITY, handle: Some(handle) }
-    }
-
-    /// Bound of the actor's request mailbox.
-    pub const DEFAULT_MAILBOX_CAPACITY: usize = 256;
-
-    /// The mailbox bound: how many requests may be pending before
-    /// submissions block ([`ReplayShard::sender`]) or are rejected
-    /// ([`ReplayShard::try_send`]).
-    pub fn mailbox_capacity(&self) -> usize {
-        self.mailbox_capacity
-    }
-
-    /// Requests currently pending in the mailbox.
-    pub fn mailbox_depth(&self) -> usize {
-        self.tx.len()
-    }
-
-    /// Submits a request without blocking.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MailboxError::Full`] (carrying the rejected request and
-    /// the mailbox bound) when the actor is saturated, and
-    /// [`MailboxError::Disconnected`] when it has shut down.
-    pub fn try_send(&self, request: ShardRequest) -> Result<(), MailboxError> {
-        self.tx.try_send(request).map_err(|e| match e {
-            TrySendError::Full(request) => {
-                MailboxError::Full { capacity: self.mailbox_capacity, request }
-            }
-            TrySendError::Disconnected(request) => MailboxError::Disconnected(request),
-        })
-    }
-
-    /// The request channel (blocking submission).
-    pub fn sender(&self) -> Sender<ShardRequest> {
-        self.tx.clone()
-    }
-
-    /// The shard's current high-water mark (total records ever inserted),
-    /// fetched synchronously; `None` if the actor has shut down.
-    pub fn watermark(&self) -> Option<u64> {
-        let (reply_tx, reply_rx) = bounded(1);
-        self.tx.send(ShardRequest::Watermark { reply: reply_tx }).ok()?;
-        reply_rx.recv().ok()
-    }
-
-    /// Stops the actor and returns the total number of inserted records.
-    pub fn shutdown(mut self) -> u64 {
-        let _ = self.tx.send(ShardRequest::Shutdown);
-        self.handle.take().map(|h| h.join().unwrap_or(0)).unwrap_or(0)
-    }
-}
-
-impl Drop for ReplayShard {
-    fn drop(&mut self) {
-        let _ = self.tx.send(ShardRequest::Shutdown);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-/// Metric handles for one shard serving loop. Resolved once (all
-/// no-ops under a disabled recorder); the constructors pick the naming
-/// scheme:
-///
-/// * [`ShardServeMetrics::legacy`] — the historical `shard.*` names.
-/// * [`ShardServeMetrics::fragment`] — the uniform
-///   `frag.<stage>.*` scheme of the fragment executor, with the
-///   `shard.*` spellings kept as live back-compat aliases.
+/// Metric handles for one shard serving loop under the fragment
+/// executor's `frag.<stage>.*` scheme. Resolved once (all no-ops under a
+/// disabled recorder).
 #[derive(Clone)]
 pub struct ShardServeMetrics {
     /// insert service time (µs)
-    pub insert_us: rlgraph_obs::AliasedHistogram,
+    pub insert_us: Histogram,
     /// sample service time (µs)
-    pub sample_us: rlgraph_obs::AliasedHistogram,
+    pub sample_us: Histogram,
     /// priority-update service time (µs)
-    pub update_us: rlgraph_obs::AliasedHistogram,
+    pub update_us: Histogram,
     /// pending requests after each dequeue
-    pub mailbox_depth: rlgraph_obs::AliasedGauge,
+    pub mailbox_depth: Gauge,
     /// records currently held
-    pub fill: rlgraph_obs::AliasedGauge,
+    pub fill: Gauge,
 }
 
 impl ShardServeMetrics {
-    /// Handles under the historical `shard.*` names.
-    pub fn legacy(recorder: &Recorder) -> Self {
-        ShardServeMetrics {
-            insert_us: recorder.histogram_aliased("shard.insert_us", &[]),
-            sample_us: recorder.histogram_aliased("shard.sample_us", &[]),
-            update_us: recorder.histogram_aliased("shard.update_priorities_us", &[]),
-            mailbox_depth: recorder.gauge_aliased("shard.mailbox_depth", &[]),
-            fill: recorder.gauge_aliased("shard.size", &[]),
-        }
-    }
-
-    /// Handles under `frag.<stage>.*` with the `shard.*` names aliased.
+    /// Handles under `frag.<stage>.*`.
     pub fn fragment(recorder: &Recorder, stage: &str) -> Self {
         let name = |metric: &str| format!("frag.{}.{}", stage, metric);
         ShardServeMetrics {
-            insert_us: recorder.histogram_aliased(&name("insert_us"), &["shard.insert_us"]),
-            sample_us: recorder.histogram_aliased(&name("sample_us"), &["shard.sample_us"]),
-            update_us: recorder
-                .histogram_aliased(&name("update_priorities_us"), &["shard.update_priorities_us"]),
-            mailbox_depth: recorder.gauge_aliased(&name("mailbox_depth"), &["shard.mailbox_depth"]),
-            fill: recorder.gauge_aliased(&name("size"), &["shard.size"]),
+            insert_us: recorder.histogram(&name("insert_us")),
+            sample_us: recorder.histogram(&name("sample_us")),
+            update_us: recorder.histogram(&name("update_priorities_us")),
+            mailbox_depth: recorder.gauge(&name("mailbox_depth")),
+            fill: recorder.gauge(&name("size")),
         }
     }
-}
-
-fn shard_loop(
-    rx: Receiver<ShardRequest>,
-    capacity: usize,
-    alpha: f32,
-    seed: u64,
-    recorder: Recorder,
-) -> u64 {
-    let core = ShardCore::new(capacity, alpha, seed);
-    let metrics = ShardServeMetrics::legacy(&recorder);
-    serve_shard(&rx, core, &recorder, &metrics)
 }
 
 /// Serves shard requests from `rx` over `core` until `Shutdown` arrives
 /// or every sender is gone, then returns the shard's final watermark.
 ///
-/// This is the one replay serving loop: [`ReplayShard`] threads and the
-/// fragment executor's replay stage bodies both run it, so placement
-/// changes never change request semantics — only the thread the loop
-/// runs on and the names its metrics are emitted under.
+/// This is the one replay serving loop: every threaded replay stage
+/// body runs it, so placement changes never change request semantics —
+/// only the thread the loop runs on.
 pub fn serve_shard(
     rx: &Receiver<ShardRequest>,
     mut core: ShardCore,
@@ -389,6 +225,7 @@ pub fn serve_shard(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crossbeam::channel::bounded;
     use rlgraph_tensor::DType;
 
     fn transitions(n: usize) -> (Vec<Transition>, Vec<f32>) {
@@ -406,80 +243,59 @@ mod tests {
         (ts, vec![1.0; n])
     }
 
+    /// Runs [`serve_shard`] to completion over `requests` followed by a
+    /// `Shutdown`, on this thread, and returns the final watermark.
+    fn serve(capacity: usize, alpha: f32, requests: Vec<ShardRequest>) -> u64 {
+        let (tx, rx) = bounded(requests.len() + 1);
+        for request in requests {
+            tx.send(request).unwrap();
+        }
+        tx.send(ShardRequest::Shutdown).unwrap();
+        let rec = Recorder::disabled();
+        let metrics = ShardServeMetrics::fragment(&rec, "replay");
+        serve_shard(&rx, ShardCore::new(capacity, alpha, 0), &rec, &metrics)
+    }
+
     #[test]
     fn insert_then_sample_roundtrip() {
-        let shard = ReplayShard::spawn("shard-test".into(), 64, 0.6, 0);
         let (ts, ps) = transitions(16);
-        shard.sender().send(ShardRequest::Insert { transitions: ts, priorities: ps }).unwrap();
         let (reply_tx, reply_rx) = bounded(1);
-        shard.sender().send(ShardRequest::Sample { batch: 8, beta: 0.4, reply: reply_tx }).unwrap();
+        let watermark = serve(
+            64,
+            0.6,
+            vec![
+                ShardRequest::Insert { transitions: ts, priorities: ps },
+                ShardRequest::Sample { batch: 8, beta: 0.4, reply: reply_tx },
+            ],
+        );
         let batch = reply_rx.recv().unwrap().expect("enough data");
         assert_eq!(batch.tensors[0].shape(), &[8, 3]);
         assert_eq!(batch.tensors[4].dtype(), DType::Bool);
         assert_eq!(batch.indices.len(), 8);
-        assert_eq!(shard.shutdown(), 16);
+        assert_eq!(watermark, 16);
     }
 
     #[test]
     fn sample_underfilled_returns_none() {
-        let shard = ReplayShard::spawn("shard-test".into(), 64, 0.6, 0);
         let (reply_tx, reply_rx) = bounded(1);
-        shard.sender().send(ShardRequest::Sample { batch: 4, beta: 0.4, reply: reply_tx }).unwrap();
+        serve(64, 0.6, vec![ShardRequest::Sample { batch: 4, beta: 0.4, reply: reply_tx }]);
         assert!(reply_rx.recv().unwrap().is_none());
     }
 
     #[test]
-    fn saturated_mailbox_reports_typed_full_error() {
-        let shard = ReplayShard::spawn("shard-test".into(), 32, 1.0, 0);
-        assert_eq!(shard.mailbox_capacity(), ReplayShard::DEFAULT_MAILBOX_CAPACITY);
-        // Wedge the actor: give it a Sample whose reply channel is already
-        // full, so its blocking reply-send parks the actor thread while we
-        // flood the mailbox.
-        let (reply_tx, reply_rx) = bounded(1);
-        reply_tx.send(None).unwrap();
-        shard.sender().send(ShardRequest::Sample { batch: 4, beta: 0.4, reply: reply_tx }).unwrap();
-        let mut full = None;
-        for _ in 0..=shard.mailbox_capacity() + 1 {
-            match shard
-                .try_send(ShardRequest::UpdatePriorities { indices: vec![], priorities: vec![] })
-            {
-                Ok(()) => {}
-                Err(e) => {
-                    full = Some(e);
-                    break;
-                }
-            }
-        }
-        match full.expect("mailbox should saturate") {
-            MailboxError::Full { capacity, request } => {
-                assert_eq!(capacity, ReplayShard::DEFAULT_MAILBOX_CAPACITY);
-                assert!(matches!(request, ShardRequest::UpdatePriorities { .. }));
-            }
-            other => panic!("expected Full, got {:?}", other),
-        }
-        // Unwedge and drain.
-        assert!(reply_rx.recv().unwrap().is_none());
-        assert!(reply_rx.recv().unwrap().is_none());
-        shard.shutdown();
-    }
-
-    #[test]
-    fn watermark_tracks_total_inserts_and_converts_to_rlerror() {
-        let shard = ReplayShard::spawn("shard-test".into(), 8, 0.6, 0);
+    fn watermark_tracks_total_inserts() {
         let (ts, ps) = transitions(12); // capacity 8: wraps, watermark keeps counting
-        shard.sender().send(ShardRequest::Insert { transitions: ts, priorities: ps }).unwrap();
-        assert_eq!(shard.watermark(), Some(12));
-        assert_eq!(shard.shutdown(), 12);
-
-        let full = MailboxError::Full {
-            capacity: 4,
-            request: ShardRequest::UpdatePriorities { indices: vec![], priorities: vec![] },
-        };
-        let rl: RlError = full.into();
-        assert!(rl.is_retryable());
-        assert!(matches!(rl, RlError::MailboxFull { capacity: 4 }));
-        let disc = MailboxError::Disconnected(ShardRequest::Shutdown);
-        assert!(RlError::from(disc).is_fatal());
+        let (reply_tx, reply_rx) = bounded(1);
+        let watermark = serve(
+            8,
+            0.6,
+            vec![
+                ShardRequest::Insert { transitions: ts, priorities: ps },
+                ShardRequest::Watermark { reply: reply_tx },
+            ],
+        );
+        assert_eq!(reply_rx.recv().unwrap(), 12);
+        assert_eq!(watermark, 12);
     }
 
     #[test]
@@ -498,20 +314,21 @@ mod tests {
 
     #[test]
     fn priority_updates_accepted() {
-        let shard = ReplayShard::spawn("shard-test".into(), 32, 1.0, 0);
         let (ts, ps) = transitions(8);
-        shard.sender().send(ShardRequest::Insert { transitions: ts, priorities: ps }).unwrap();
-        shard
-            .sender()
-            .send(ShardRequest::UpdatePriorities {
-                indices: vec![0, 1, 99],
-                priorities: vec![10.0, 0.1, 5.0],
-            })
-            .unwrap();
         // still serving after an update containing a stale index
         let (reply_tx, reply_rx) = bounded(1);
-        shard.sender().send(ShardRequest::Sample { batch: 4, beta: 0.0, reply: reply_tx }).unwrap();
+        serve(
+            32,
+            1.0,
+            vec![
+                ShardRequest::Insert { transitions: ts, priorities: ps },
+                ShardRequest::UpdatePriorities {
+                    indices: vec![0, 1, 99],
+                    priorities: vec![10.0, 0.1, 5.0],
+                },
+                ShardRequest::Sample { batch: 4, beta: 0.0, reply: reply_tx },
+            ],
+        );
         assert!(reply_rx.recv().unwrap().is_some());
-        shard.shutdown();
     }
 }

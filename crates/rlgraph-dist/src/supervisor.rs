@@ -27,7 +27,8 @@ use std::thread::JoinHandle;
 pub enum ActorOutcome {
     /// The body returned `Ok(())`.
     Completed,
-    /// The supervisor's stop flag was raised.
+    /// The supervisor's stop flag was raised while the actor waited for
+    /// a restart.
     Stopped,
     /// The body kept failing past `max_restarts`; last failure attached.
     GaveUp(String),
@@ -165,6 +166,12 @@ impl Supervisor {
     /// `Err(retryable/degraded)` or panic it is re-invoked after backoff,
     /// up to the policy's attempt budget. The body receives the stop flag
     /// and should poll it in its work loop.
+    ///
+    /// A spawned actor is owed one run: the supervisor invokes the body
+    /// once even when the stop flag is already up (the body sees the flag
+    /// and decides), so the outcome is always the body's own. Only
+    /// *restarts* are suppressed by the flag, in which case the outcome
+    /// is [`ActorOutcome::Stopped`].
     pub fn spawn<F>(&mut self, name: &str, mut body: F)
     where
         F: FnMut(&AtomicBool) -> RlResult<()> + Send + 'static,
@@ -188,9 +195,6 @@ impl Supervisor {
                 let sleeper = ThreadSleeper::new();
                 let mut attempt: u32 = 0;
                 loop {
-                    if stop.load(Ordering::SeqCst) {
-                        return ActorOutcome::Stopped;
-                    }
                     let result = catch_unwind(AssertUnwindSafe(|| body(&stop)));
                     let err = match result {
                         Ok(Ok(())) => return ActorOutcome::Completed,
@@ -367,6 +371,22 @@ mod tests {
         // 3 attempts = initial run + 2 restarts
         assert_eq!(report.actors[0].restarts, 2);
         assert!(!report.all_healthy());
+    }
+
+    #[test]
+    fn stop_raised_before_spawn_still_runs_the_body_once() {
+        let mut sup = Supervisor::new(fast_policy(4));
+        sup.stop();
+        let runs = Arc::new(AtomicU32::new(0));
+        let r = runs.clone();
+        sup.spawn("late", move |stop| {
+            assert!(stop.load(Ordering::SeqCst), "the body sees the raised flag");
+            r.fetch_add(1, Ordering::SeqCst);
+            Err(RlError::Shutdown)
+        });
+        let report = sup.join();
+        assert_eq!(runs.load(Ordering::SeqCst), 1);
+        assert!(matches!(report.actors[0].outcome, ActorOutcome::Fatal(_)), "{:?}", report);
     }
 
     #[test]

@@ -5,7 +5,10 @@
 
 use proptest::prelude::*;
 use rlgraph_agents::{Backend, DqnAgent, DqnConfig};
-use rlgraph_dist::{run_apex_chaos, ChaosApexConfig, FaultKind, FaultPlan, LearnerCheckpoint};
+use rlgraph_dist::{
+    run_apex_chaos, ChaosApexConfig, DriverConfigBuilder, FaultKind, FaultPlan, LearnerCheckpoint,
+    RunBudget,
+};
 use rlgraph_envs::{Env, RandomEnv};
 use rlgraph_nn::{Activation, NetworkSpec};
 
@@ -29,15 +32,15 @@ fn env_factory(w: usize, e: usize) -> Box<dyn Env> {
 fn chaos_config(plan: FaultPlan, steps: u64) -> ChaosApexConfig {
     ChaosApexConfig::builder()
         .agent(tiny_agent())
-        .num_workers(2)
+        .parallelism(2)
         .envs_per_worker(2)
         .task_size(24)
         .num_shards(2)
-        .steps(steps)
-        .weight_sync_interval(4)
+        .budget(RunBudget::steps(steps))
+        .sync_every(4)
         .checkpoint_every(Some(4))
         .fault_plan(plan)
-        .build()
+        .try_build()
         .expect("chaos config")
 }
 
@@ -122,14 +125,14 @@ fn scheduled_faults_fire_at_their_step() {
 fn quorum_loss_degrades_without_erroring() {
     let in_quorum = ChaosApexConfig::builder()
         .agent(tiny_agent())
-        .num_workers(1)
+        .parallelism(1)
         .envs_per_worker(2)
         .task_size(32)
         .num_shards(3)
         .shard_quorum(2)
-        .steps(12)
+        .budget(RunBudget::steps(12))
         .kill_shards(vec![2])
-        .build()
+        .try_build()
         .unwrap();
     let (stats, report) = run_apex_chaos(in_quorum, env_factory).unwrap();
     assert!(stats.updates > 0, "two healthy shards meet quorum");
@@ -137,14 +140,14 @@ fn quorum_loss_degrades_without_erroring() {
 
     let below_quorum = ChaosApexConfig::builder()
         .agent(tiny_agent())
-        .num_workers(1)
+        .parallelism(1)
         .envs_per_worker(2)
         .task_size(32)
         .num_shards(3)
         .shard_quorum(2)
-        .steps(8)
+        .budget(RunBudget::steps(8))
         .kill_shards(vec![0, 1])
-        .build()
+        .try_build()
         .unwrap();
     let (stats, report) = run_apex_chaos(below_quorum, env_factory).unwrap();
     assert_eq!(stats.updates, 0, "below quorum the learner must pause");

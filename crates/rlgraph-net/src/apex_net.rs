@@ -171,7 +171,9 @@ impl NetApexConfig {
 }
 
 /// Builder for [`NetApexConfig`]; validates on
-/// [`build`](NetApexConfigBuilder::build).
+/// [`try_build`](rlgraph_dist::DriverConfigBuilder::try_build). The knobs
+/// every driver shares (parallelism, sync cadence, budget, recorder) are
+/// set through [`DriverConfigBuilder`](rlgraph_dist::DriverConfigBuilder).
 #[derive(Clone, Default)]
 pub struct NetApexConfigBuilder {
     draft: NetApexConfig,
@@ -190,13 +192,6 @@ impl NetApexConfigBuilder {
         self
     }
 
-    /// Worker count. Deprecated spelling of
-    /// [`parallelism`](rlgraph_dist::DriverConfigBuilder::parallelism).
-    pub fn num_workers(mut self, n: usize) -> Self {
-        self.draft.num_workers = n;
-        self
-    }
-
     /// Vectorised environments per worker.
     pub fn envs_per_worker(mut self, n: usize) -> Self {
         self.draft.envs_per_worker = n;
@@ -212,27 +207,6 @@ impl NetApexConfigBuilder {
     /// Replay shard count (one RPC server each).
     pub fn num_shards(mut self, n: usize) -> Self {
         self.draft.num_shards = n;
-        self
-    }
-
-    /// Publish weights every `k` learner updates. Deprecated spelling of
-    /// [`sync_every`](rlgraph_dist::DriverConfigBuilder::sync_every).
-    pub fn weight_sync_interval(mut self, k: u64) -> Self {
-        self.draft.weight_sync_interval = k;
-        self
-    }
-
-    /// Stop after this wall-clock duration. Deprecated spelling of
-    /// [`budget`](rlgraph_dist::DriverConfigBuilder::budget).
-    pub fn run_duration(mut self, d: Duration) -> Self {
-        self.draft.run_duration = d;
-        self
-    }
-
-    /// Optional hard cap on learner updates. Deprecated spelling of
-    /// [`budget`](rlgraph_dist::DriverConfigBuilder::budget).
-    pub fn max_updates(mut self, cap: Option<u64>) -> Self {
-        self.draft.max_updates = cap;
         self
     }
 
@@ -272,21 +246,39 @@ impl NetApexConfigBuilder {
         self.draft.elastic = elastic;
         self
     }
+}
 
-    /// Observability recorder. Deprecated spelling of
-    /// [`observe_with`](rlgraph_dist::DriverConfigBuilder::observe_with).
-    pub fn recorder(mut self, recorder: Recorder) -> Self {
+impl rlgraph_dist::DriverConfigBuilder for NetApexConfigBuilder {
+    type Config = NetApexConfig;
+
+    fn parallelism(mut self, n: usize) -> Self {
+        self.draft.num_workers = n;
+        self
+    }
+
+    fn sync_every(mut self, k: u64) -> Self {
+        self.draft.weight_sync_interval = k;
+        self
+    }
+
+    fn budget(mut self, budget: rlgraph_dist::RunBudget) -> Self {
+        if let Some(d) = budget.wall {
+            self.draft.run_duration = d;
+        }
+        self.draft.max_updates = budget.max_updates;
+        self
+    }
+
+    fn observe_with(mut self, recorder: Recorder) -> Self {
         self.draft.recorder = recorder;
         self
     }
 
-    /// Validates and builds the config.
-    ///
     /// # Errors
     ///
     /// Zero workers/shards/task size, a zero sync interval, or a
     /// declaration the fragment graph rejects.
-    pub fn build(self) -> RlResult<NetApexConfig> {
+    fn try_build(self) -> RlResult<NetApexConfig> {
         let c = self.draft;
         if c.num_workers == 0 {
             return Err(CoreError::new("num_workers must be >= 1").into());
@@ -347,34 +339,6 @@ impl NetApexConfigBuilder {
         // not at spawn time.
         crate::fragment_remote::validate_net_apex(&c)?;
         Ok(c)
-    }
-}
-
-impl rlgraph_dist::DriverConfigBuilder for NetApexConfigBuilder {
-    type Config = NetApexConfig;
-
-    fn parallelism(self, n: usize) -> Self {
-        self.num_workers(n)
-    }
-
-    fn sync_every(self, k: u64) -> Self {
-        self.weight_sync_interval(k)
-    }
-
-    fn budget(self, budget: rlgraph_dist::RunBudget) -> Self {
-        let b = match budget.wall {
-            Some(d) => self.run_duration(d),
-            None => self,
-        };
-        b.max_updates(budget.max_updates)
-    }
-
-    fn observe_with(self, recorder: Recorder) -> Self {
-        self.recorder(recorder)
-    }
-
-    fn try_build(self) -> RlResult<NetApexConfig> {
-        self.build()
     }
 }
 
@@ -792,9 +756,9 @@ pub fn run_apex_net(config: NetApexConfig) -> RlResult<NetApexStats> {
     let state_space = config.env.build(0).state_space();
     let action_space = config.env.build(0).action_space();
     let mut learner = DqnAgent::new(config.agent.clone(), &state_space, &action_space)?;
-    let step_us = recorder.histogram("learner.step_us");
-    let updates_ctr = recorder.counter("learner.updates");
-    let update_rate = recorder.gauge("learner.update_rate");
+    let step_us = recorder.histogram("frag.learn.step_us");
+    let updates_ctr = recorder.counter("frag.learn.updates");
+    let update_rate = recorder.gauge("frag.learn.update_rate");
     // The parent folds its own metric deltas into the same cluster
     // registry heartbeats feed, under the "learner" process name.
     let mut learner_tracker = DeltaTracker::new();

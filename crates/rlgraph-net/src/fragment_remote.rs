@@ -14,7 +14,7 @@
 use crate::apex_net::{LaunchMode, NetApexConfig};
 use rlgraph_core::RlResult;
 use rlgraph_dist::fragment::{FragmentGraph, Placement, PlacementCaps, PlacementMap, StageKind};
-use rlgraph_dist::ReplayShard;
+use rlgraph_dist::shard::DEFAULT_MAILBOX_CAPACITY;
 
 /// The logical Ape-X fragment graph of a TCP run: identical topology to
 /// the in-process declaration, derived from the net config's replica
@@ -40,8 +40,7 @@ pub fn net_apex_graph(config: &NetApexConfig) -> RlResult<FragmentGraph> {
     b.stage("replay", StageKind::Replay, config.num_shards)
         .stage("learn", StageKind::Learn, 1)
         .stage("broadcast", StageKind::Broadcast, 1)
-        .edge("rollout", "replay", ReplayShard::DEFAULT_MAILBOX_CAPACITY)
-        .alias("shard.mailbox_depth")
+        .edge("rollout", "replay", DEFAULT_MAILBOX_CAPACITY)
         .edge("replay", "learn", 1)
         .latest_edge("broadcast", "rollout")
         .build()

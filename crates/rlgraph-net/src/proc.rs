@@ -270,7 +270,7 @@ fn run_worker_inner(spec: &WorkerSpec, recorder: &Recorder) -> RlResult<()> {
     // RTT refines the worker's estimate of the coordinator's clock
     // (offset = coord reply time − beat midpoint, min-RTT filtered).
     let mut tracker = DeltaTracker::new();
-    let mailbox = recorder.gauge_aliased("frag.rollout.mailbox_depth", &["worker.mailbox_depth"]);
+    let mailbox = recorder.gauge("frag.rollout.mailbox_depth");
     let mut best_rtt = 0u64;
     let mut best_offset = 0i64;
     loop {

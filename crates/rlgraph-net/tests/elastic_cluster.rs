@@ -7,6 +7,7 @@
 use rlgraph_agents::{Backend, DqnConfig};
 use rlgraph_core::RlError;
 use rlgraph_dist::sync::WeightHub;
+use rlgraph_dist::{DriverConfigBuilder, RunBudget};
 use rlgraph_net::{
     run_apex_net, CoordClient, CoordService, ElasticConfig, EnvSpec, Heartbeat, LaunchMode,
     NetApexConfig, RpcServer, ShardClient, ShardService, WorkerSpec,
@@ -39,12 +40,12 @@ fn scripted_schedule_resizes_the_fleet_without_losing_transitions() {
     let config = NetApexConfig::builder()
         .agent(tiny_agent())
         .env(EnvSpec::Random { shape: vec![4], actions: 2, episode_len: 20 })
-        .num_workers(2)
+        .parallelism(2)
         .envs_per_worker(2)
         .task_size(32)
         .num_shards(2)
-        .weight_sync_interval(4)
-        .run_duration(Duration::from_secs(6))
+        .sync_every(4)
+        .budget(RunBudget::wall(Duration::from_secs(6)))
         .rpc_deadline(Duration::from_secs(5))
         .launch(LaunchMode::Thread)
         .elastic(Some(ElasticConfig {
@@ -53,7 +54,7 @@ fn scripted_schedule_resizes_the_fleet_without_losing_transitions() {
             schedule: vec![(Duration::from_millis(700), 4), (Duration::from_millis(2500), 2)],
             ..ElasticConfig::default()
         }))
-        .build()
+        .try_build()
         .unwrap();
     let stats = run_apex_net(config).unwrap();
 

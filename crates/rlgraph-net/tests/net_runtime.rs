@@ -207,9 +207,31 @@ fn telemetry_plane_folds_workers_and_merges_traces() {
     assert!(report.contains("worker-0"), "missing worker section:\n{}", report);
     assert!(report.contains("worker-1"), "missing worker section:\n{}", report);
     assert!(report.contains("learner"), "missing learner section:\n{}", report);
-    assert!(report.contains("worker.mailbox_depth"), "missing mailbox gauge:\n{}", report);
-    assert!(report.contains("learner.update_rate"), "missing update-rate gauge:\n{}", report);
-    assert!(report.contains("net.bytes_tx"), "missing wire accounting:\n{}", report);
+    // Report lines read `<kind> <name> <stats…>`; every signal has one
+    // name, under `frag.<stage>.*`, and the retired spellings are gone.
+    let names: Vec<&str> = report
+        .lines()
+        .filter_map(|line| {
+            let mut tokens = line.split_whitespace();
+            match tokens.next() {
+                Some("counter" | "series" | "hist") => tokens.next(),
+                _ => None,
+            }
+        })
+        .collect();
+    for present in [
+        "frag.rollout.mailbox_depth",
+        "frag.learn.update_rate",
+        "frag.learn.updates",
+        "frag.learn.step_us",
+        "net.bytes_tx",
+    ] {
+        assert!(names.contains(&present), "missing {}:\n{}", present, report);
+    }
+    for retired in ["shard.", "worker.", "learner.", "actor.", "queue.", "chaos."] {
+        let stale: Vec<_> = names.iter().filter(|n| n.starts_with(retired)).collect();
+        assert!(stale.is_empty(), "retired metric names {:?} in:\n{}", stale, report);
+    }
 
     let trace = stats.merged_trace.expect("merged trace rendered");
     assert!(trace.contains("\"coordinator\""), "missing parent row:\n{}", &trace[..500]);

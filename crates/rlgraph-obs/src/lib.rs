@@ -59,7 +59,7 @@ pub use context::{ContextScope, TraceContext, FLAG_SAMPLED};
 pub use export::{chrome_trace, summary, write_chrome_trace};
 pub use flight::{FlightEvent, FlightKind};
 pub use merge::{merged_chrome_trace, DumpEvent, DumpKind, ProcessTrace, TraceDump};
-pub use metrics::{AliasedCounter, AliasedGauge, AliasedHistogram, Counter, Gauge, Histogram};
+pub use metrics::{Counter, Gauge, Histogram};
 pub use recorder::{
     HistogramSummary, MetricsSnapshot, Recorder, SpanGuard, SpanTotal, DEFAULT_FLIGHT_CAPACITY,
 };

@@ -342,115 +342,6 @@ impl Histogram {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Aliased handles
-// ---------------------------------------------------------------------------
-
-/// A gauge that fans every write out to several registered names.
-///
-/// Used to migrate metric names without breaking dashboards: the fragment
-/// executor emits queue depths under the uniform `frag.<stage>.*` scheme
-/// while still updating the legacy spellings (`shard.mailbox_depth`,
-/// `queue.depth`, `worker.mailbox_depth`) as back-compat aliases. Reads
-/// ([`AliasedGauge::value`]) come from the primary (first) handle.
-#[derive(Debug, Clone, Default)]
-pub struct AliasedGauge(pub(crate) Vec<Gauge>);
-
-impl AliasedGauge {
-    /// A permanently disabled aliased gauge.
-    pub fn noop() -> Self {
-        AliasedGauge(Vec::new())
-    }
-
-    /// Overwrites the value under every name.
-    #[inline]
-    pub fn set(&self, v: f64) {
-        for g in &self.0 {
-            g.set(v);
-        }
-    }
-
-    /// Adds `delta` under every name.
-    #[inline]
-    pub fn add(&self, delta: f64) {
-        for g in &self.0 {
-            g.add(delta);
-        }
-    }
-
-    /// Current value of the primary name (0.0 when disabled).
-    pub fn value(&self) -> f64 {
-        self.0.first().map_or(0.0, |g| g.value())
-    }
-}
-
-/// A counter that fans every increment out to several registered names;
-/// see [`AliasedGauge`] for the migration rationale.
-#[derive(Debug, Clone, Default)]
-pub struct AliasedCounter(pub(crate) Vec<Counter>);
-
-impl AliasedCounter {
-    /// A permanently disabled aliased counter.
-    pub fn noop() -> Self {
-        AliasedCounter(Vec::new())
-    }
-
-    /// Increments every name by one.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Increments every name by `n`.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        for c in &self.0 {
-            c.add(n);
-        }
-    }
-
-    /// Current count of the primary name (0 when disabled).
-    pub fn value(&self) -> u64 {
-        self.0.first().map_or(0, |c| c.value())
-    }
-}
-
-/// A histogram that records every sample under several registered names;
-/// see [`AliasedGauge`] for the migration rationale.
-#[derive(Debug, Clone, Default)]
-pub struct AliasedHistogram(pub(crate) Vec<Histogram>);
-
-impl AliasedHistogram {
-    /// A permanently disabled aliased histogram.
-    pub fn noop() -> Self {
-        AliasedHistogram(Vec::new())
-    }
-
-    /// Records one sample under every name.
-    #[inline]
-    pub fn record(&self, v: f64) {
-        for h in &self.0 {
-            h.record(v);
-        }
-    }
-
-    /// Records a duration as microseconds under every name.
-    #[inline]
-    pub fn record_duration(&self, d: std::time::Duration) {
-        self.record(d.as_secs_f64() * 1e6);
-    }
-
-    /// Sample count of the primary name.
-    pub fn count(&self) -> u64 {
-        self.0.first().map_or(0, |h| h.count())
-    }
-
-    /// Mean of the primary name.
-    pub fn mean(&self) -> f64 {
-        self.0.first().map_or(0.0, |h| h.mean())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -12,10 +12,7 @@ use std::sync::{Arc, Mutex};
 use crate::clock::{ClockSource, VirtualTime, WallClock};
 use crate::flight::{self, FlightEvent, FlightKind, FlightRing};
 use crate::merge::TraceDump;
-use crate::metrics::{
-    AliasedCounter, AliasedGauge, AliasedHistogram, Counter, CounterCell, Gauge, GaugeCell,
-    Histogram, HistogramCell,
-};
+use crate::metrics::{Counter, CounterCell, Gauge, GaugeCell, Histogram, HistogramCell};
 use crate::trace::{EventKind, TraceEvent, TraceState, TrackId, DEFAULT_TRACE_CAPACITY};
 
 /// Default flight-recorder capacity: enough recent events to explain a
@@ -103,41 +100,6 @@ impl Recorder {
         Histogram(self.inner.as_ref().map(|i| {
             i.histograms.lock().expect("obs lock").entry(name.to_string()).or_default().clone()
         }))
-    }
-
-    /// Counter registered under `name` plus every alias: increments fan
-    /// out to all of them. Used for metric-name migrations — new code
-    /// emits the canonical name while dashboards keyed on the old
-    /// spelling keep working.
-    pub fn counter_aliased(&self, name: &str, aliases: &[&str]) -> AliasedCounter {
-        if self.inner.is_none() {
-            return AliasedCounter::noop();
-        }
-        let mut handles = vec![self.counter(name)];
-        handles.extend(aliases.iter().map(|a| self.counter(a)));
-        AliasedCounter(handles)
-    }
-
-    /// Gauge registered under `name` plus every alias; see
-    /// [`Recorder::counter_aliased`].
-    pub fn gauge_aliased(&self, name: &str, aliases: &[&str]) -> AliasedGauge {
-        if self.inner.is_none() {
-            return AliasedGauge::noop();
-        }
-        let mut handles = vec![self.gauge(name)];
-        handles.extend(aliases.iter().map(|a| self.gauge(a)));
-        AliasedGauge(handles)
-    }
-
-    /// Histogram registered under `name` plus every alias; see
-    /// [`Recorder::counter_aliased`].
-    pub fn histogram_aliased(&self, name: &str, aliases: &[&str]) -> AliasedHistogram {
-        if self.inner.is_none() {
-            return AliasedHistogram::noop();
-        }
-        let mut handles = vec![self.histogram(name)];
-        handles.extend(aliases.iter().map(|a| self.histogram(a)));
-        AliasedHistogram(handles)
     }
 
     // -- tracks -------------------------------------------------------------

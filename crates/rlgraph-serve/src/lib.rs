@@ -17,11 +17,12 @@
 //!
 //! let space = Space::float_box_bounded(&[4], -1.0, 1.0);
 //! let network = NetworkSpec::mlp(&[16], Activation::Tanh);
+//! let replica_space = space.clone();
 //! let server = PolicyServer::spawn(
 //!     ServeConfig { num_replicas: 2, ..ServeConfig::default() },
-//!     space.clone(),
+//!     space,
 //!     rlgraph_obs::Recorder::wall(),
-//!     |_i| Ok(Box::new(greedy_policy_replica(&network, &space, 3, false, 7)?)),
+//!     move |_i| Ok(Box::new(greedy_policy_replica(&network, &replica_space, 3, false, 7)?)),
 //! )
 //! .unwrap();
 //! let client = server.client();

@@ -67,13 +67,6 @@ def headline(name, d):
                 f"(retention {fmt(d['chaos']['retention'])}), "
                 f"{fmt(d['faults']['injected_events'])} faults injected",
             ]
-        if name == "BENCH_fragments.json":
-            return [
-                f"fragment vs legacy Ape-X: {fmt(d['throughput_ratio'])}x throughput "
-                f"({fmt(d['fragment']['frames_per_sec'], 0)} vs "
-                f"{fmt(d['legacy']['frames_per_sec'], 0)} frames/s, "
-                f"budget <= {d['max_overhead'] * 100:.0f}% overhead)",
-            ]
         if name == "BENCH_elastic.json":
             r = d["run"]
             p = d["phases"]

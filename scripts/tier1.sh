@@ -20,24 +20,17 @@ if ! cargo metadata --format-version 1 >/dev/null 2>&1; then
 fi
 
 cargo "${CONFIG[@]}" build --release "${OFFLINE[@]}"
-cargo "${CONFIG[@]}" test -q "${OFFLINE[@]}"
+cargo "${CONFIG[@]}" test -q "${OFFLINE[@]}" --workspace --no-fail-fast
 
 # Exercise the serving path end to end (batched act + hot weight swap).
 cargo "${CONFIG[@]}" run --release "${OFFLINE[@]}" --example serve_smoke
 
-# Kernel engine: parity + determinism suite, then a does-it-run bench smoke
-# (tiny shapes, writes nothing).
-cargo "${CONFIG[@]}" test -q "${OFFLINE[@]}" -p rlgraph-tensor --test kernel_parity
+# Kernel engine: a does-it-run bench smoke (tiny shapes, writes nothing).
 cargo "${CONFIG[@]}" run --release "${OFFLINE[@]}" -p bench --bin kernel_bench -- --smoke
 
 # Fault tolerance: chaos engine smoke (tiny fault plan, asserts the
 # same-seed determinism contract, writes nothing).
 cargo "${CONFIG[@]}" run --release "${OFFLINE[@]}" -p bench --bin chaos_bench -- --smoke
-
-# Fragment executor: legacy vs fragment-built Ape-X at an equal wall
-# budget (the <=5% overhead threshold is full-mode only; smoke is a
-# does-it-run gate over both paths).
-timeout 300 cargo "${CONFIG[@]}" run --release "${OFFLINE[@]}" -p bench --bin fragment_bench -- --smoke
 
 # Network transport: multi-process Ape-X over loopback TCP (the example
 # launches 2 real worker processes), then the net bench smoke covering

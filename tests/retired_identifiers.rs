@@ -1,0 +1,39 @@
+//! The second generation of the distributed layer — the hand-woven
+//! drivers, the metric aliases that fanned `frag.<stage>.*` out to their
+//! names — is retired. This fails if an identifier of it comes back in
+//! any source file under `crates/*/src`, `examples/` or `tests/`.
+
+use std::path::{Path, PathBuf};
+
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in std::fs::read_dir(dir).expect("readable source directory") {
+        let path = entry.expect("directory entry").path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+#[test]
+fn retired_identifiers_stay_retired() {
+    // spelled in halves so this file passes its own check
+    let retired = [["_leg", "acy"], ["_ali", "ased"], ["legacy", "_alias"]].map(|h| h.concat());
+
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for krate in std::fs::read_dir(root.join("crates")).expect("crates directory") {
+        rust_files(&krate.expect("directory entry").path().join("src"), &mut files);
+    }
+    rust_files(&root.join("examples"), &mut files);
+    rust_files(&root.join("tests"), &mut files);
+    assert!(files.len() > 100, "the walk found only {} files", files.len());
+
+    for path in &files {
+        let text = std::fs::read_to_string(path).expect("source file");
+        for ident in &retired {
+            assert!(!text.contains(ident.as_str()), "{} uses {ident}", path.display());
+        }
+    }
+}
