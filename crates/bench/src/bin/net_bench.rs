@@ -19,7 +19,7 @@
 //!    against the identical replica fleet.
 //!
 //! `--smoke` keeps the real ≥2-OS-process run (tiny budget, with the
-//! compressed codec on so the whole negotiate + quantize + delta path
+//! compressed codec on so the whole LZ + quantize + delta path
 //! runs), skips the slowdown threshold, and writes nothing — tier-1
 //! uses it as a does-it-run gate for process launch + RPC + codec.
 
@@ -273,7 +273,7 @@ fn main() {
 
     // Multi-process runs: every worker is a real OS process, every
     // replay/weight byte crosses the TCP wire, at the baseline's
-    // achieved update budget -- once plain v1, once under the v2
+    // achieved update budget -- once plain, once under the v2
     // compressed codec. Each run gets a fresh recorder so the wire
     // byte counters attribute to exactly one run.
     let run_tcp = |compression: bool| {
@@ -306,8 +306,8 @@ fn main() {
     };
 
     if smoke {
-        // One run with the codec on: exercises process launch, frame
-        // negotiation on both stacks, and the quantize/delta/columnar
+        // One run with the codec on: exercises process launch, LZ
+        // frames, and the quantize/delta/columnar
         // encode-decode path end to end.
         let _ = run_tcp(true);
         let serve = serve_latency(budget.serve_requests, &recorder);

@@ -125,14 +125,14 @@ pub struct NetApexConfig {
     /// server stack fronting the shards and the coordinator — clients
     /// are wire-compatible with both, so this flips freely
     pub transport: Transport,
-    /// ship replay and weight traffic under the v2 wire codec
-    /// (f16-quantized tensors, delta weight sync, columnar
-    /// trajectories, LZ frame compression — DESIGN.md §14); servers
-    /// decode transparently and old peers downgrade to plain v1
+    /// ship replay and weight traffic under
+    /// `CodecProfile::COMPRESSED` (f16-quantized tensors, delta weight
+    /// sync, columnar trajectories, LZ frame compression — DESIGN.md
+    /// §14); off is `CodecProfile::PLAIN`, exact and uncompressed
     pub compression: bool,
     /// elastic fleet: membership tracking, scripted/autoscaled
     /// resizing, heartbeat-timeout eviction (`None` = fixed fleet,
-    /// bit-identical to the pre-elastic runtime)
+    /// membership off)
     pub elastic: Option<ElasticConfig>,
     /// observability recorder (servers, clients, learner)
     pub recorder: Recorder,
@@ -730,8 +730,7 @@ pub fn run_apex_net(config: NetApexConfig) -> RlResult<NetApexStats> {
             stage.scale_to(config.num_workers, &mut launch, |_, _, _| {})?;
             Some(ElasticState::new(e.clone(), stage, start))
         }
-        // Fixed fleet: generation 0 keeps membership off — the
-        // pre-elastic wire behavior, bit for bit.
+        // Fixed fleet: generation 0 keeps membership off.
         None => {
             for w in 0..config.num_workers {
                 workers.push(launch(w, 0)?);
@@ -747,9 +746,6 @@ pub fn run_apex_net(config: NetApexConfig) -> RlResult<NetApexStats> {
         c.set_deadline(Some(config.rpc_deadline));
         if config.compression {
             c.set_codec(crate::codec::CodecProfile::COMPRESSED);
-        } else {
-            // True v1 baseline: no frame-layer LZ either (see proc.rs).
-            c.set_plain_wire();
         }
         shard_clients.push(c);
     }

@@ -54,7 +54,8 @@ pub struct CodecProfile {
 }
 
 impl CodecProfile {
-    /// Wire-identical to v1: no quantization, no deltas, no columns.
+    /// Exact and uncompressed: no quantization, no deltas, no columns,
+    /// no frame-layer LZ.
     pub const PLAIN: CodecProfile = CodecProfile {
         weights: TensorEnc::F32,
         delta: false,
@@ -75,7 +76,7 @@ impl CodecProfile {
         columnar: true,
     };
 
-    /// Whether this profile changes nothing relative to v1.
+    /// Whether this is [`CodecProfile::PLAIN`].
     pub fn is_plain(self) -> bool {
         self == Self::PLAIN
     }

@@ -1,10 +1,11 @@
 //! v2 wire forms: quantized tensors, columnar trajectories, and delta
 //! weight snapshots (DESIGN.md §14).
 //!
-//! Everything here is negotiated — a peer only ever receives a v2 form
-//! after advertising `CAP_CODEC_V2` — and every v2 decoder returns a
-//! typed [`RlError::Protocol`] on anything it does not understand, so a
-//! version-skewed peer degrades to the v1 forms instead of crashing.
+//! Which form crosses the wire is the client's choice, stated in each
+//! request from its [`CodecProfile`](super::CodecProfile) — every peer
+//! is this build and decodes all of them — and every decoder here
+//! returns a typed [`RlError::Protocol`] on malformed input: bytes from
+//! a socket are never trusted.
 //!
 //! # Columnar trajectories
 //!

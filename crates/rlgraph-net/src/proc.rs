@@ -210,12 +210,11 @@ fn run_worker_inner(spec: &WorkerSpec, recorder: &Recorder) -> RlResult<()> {
         "coordinator",
     )?;
     coord.set_deadline(deadline);
+    // Compression off is the clients' default `CodecProfile::PLAIN`:
+    // exact encodings and no frame-layer LZ — the baseline net_bench's
+    // A/B depends on.
     if spec.compression {
         coord.set_codec(crate::codec::CodecProfile::COMPRESSED);
-    } else {
-        // Compression off must mean a true v1 baseline, not a silently
-        // LZ-negotiated wire — the A/B in net_bench depends on it.
-        coord.set_plain_wire();
     }
     let mut shards = Vec::with_capacity(spec.shard_addrs.len());
     for (i, addr) in spec.shard_addrs.iter().enumerate() {
@@ -226,8 +225,6 @@ fn run_worker_inner(spec: &WorkerSpec, recorder: &Recorder) -> RlResult<()> {
         c.set_deadline(deadline);
         if spec.compression {
             c.set_codec(crate::codec::CodecProfile::COMPRESSED);
-        } else {
-            c.set_plain_wire();
         }
         shards.push(c);
     }

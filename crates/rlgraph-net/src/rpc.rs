@@ -24,6 +24,13 @@
 //! connections (`ConnectionRefused`) stay fatal: there is no server to
 //! reconnect to.
 //!
+//! Wire dialect: none to discover. Every peer is this build (`frame.rs`
+//! rejects any other version word), so the client keeps no
+//! per-connection history — what it sends after a reconnect is what it
+//! sent before. Requests carry the per-request LZ hint iff
+//! [`RpcClient::set_lz`] is on, and the server compresses a reply iff
+//! the request it answers carried the hint (DESIGN.md §14).
+//!
 //! Observability (all through the injected [`Recorder`]): `net.bytes_tx`
 //! / `net.bytes_rx` counters on both sides (plus per-service
 //! `net.svc.<name>.bytes_*` on the server), `net.rpc_us` overall and
@@ -42,9 +49,7 @@
 //! [`FrameKind::Request`] frames — byte-identical to untraced builds.
 
 use crate::codec::{get_rl_error, get_trace_context, put_rl_error, put_trace_context};
-use crate::frame::{
-    read_frame_info_metered, write_frame_negotiated_metered, FrameKind, FrameMeter, LOCAL_CAPS,
-};
+use crate::frame::{read_frame_info_metered, write_frame_lz_metered, FrameKind, FrameMeter};
 use crate::wire::{ByteReader, ByteWriter};
 use rlgraph_core::{RlError, RlResult};
 use rlgraph_dist::retry::{RetryPolicy, Sleep, ThreadSleeper};
@@ -314,19 +319,12 @@ fn connection_loop(
     // Per-method histograms, registered lazily on first use so the
     // registry only holds methods this connection actually served.
     let mut method_us: HashMap<u16, rlgraph_obs::Histogram> = HashMap::new();
-    // Capabilities this client has advertised (latched high across the
-    // connection). A server only speaks flags to clients that advertised
-    // first, so a strict version-1 client never sees a flagged frame.
-    let mut peer_caps: u8 = 0;
     loop {
         // The idle clock re-arms per frame: quiet *between* requests is
         // reapable, a slow sender mid-frame is not.
         let mut reader = StopReader::new(&stream, &stop, idle_timeout);
-        let (kind, payload) = match read_frame_info_metered(&mut reader, &meter) {
-            Ok(f) => {
-                peer_caps |= f.peer_caps;
-                (f.kind, f.payload)
-            }
+        let (kind, payload, lz) = match read_frame_info_metered(&mut reader, &meter) {
+            Ok(f) => (f.kind, f.payload, f.lz_ok),
             // EOF, reset, stop, idle reap: the connection is done either
             // way. A protocol violation also closes — the stream is
             // untrusted.
@@ -386,14 +384,12 @@ fn connection_loop(
                 put_rl_error(&mut resp, &e);
             }
         }
-        let out = resp.into_bytes();
-        let advertise = if peer_caps != 0 { LOCAL_CAPS } else { 0 };
-        let write = write_frame_negotiated_metered(
+        // Compressed iff the request carried the LZ hint.
+        let write = write_frame_lz_metered(
             &mut &stream,
             FrameKind::Response,
-            &out,
-            advertise,
-            peer_caps,
+            &resp.into_bytes(),
+            lz,
             &meter,
         );
         if write.is_err() {
@@ -411,18 +407,9 @@ pub struct RpcClient {
     next_req_id: u64,
     connect_timeout: Duration,
     ever_connected: bool,
-    /// Capability bits stamped into outbound version words. Starts at
-    /// [`LOCAL_CAPS`] (the probe); dropped to zero permanently when an
-    /// old server kills the probing connection (DESIGN.md §14).
-    advertise: u8,
-    /// What the server advertised back on its responses; gates response
-    /// compression of our requests. Reset on reconnect (the new process
-    /// behind the address may be older).
-    peer_caps: u8,
-    /// Whether any response arrived on the current connection while we
-    /// were advertising — separates "old peer rejected our flags" from
-    /// "the network hiccuped later".
-    caps_confirmed: bool,
+    /// Whether requests carry the LZ hint and compress when worthwhile
+    /// (`frame.rs`); see [`RpcClient::set_lz`].
+    lz: bool,
     recorder: Recorder,
     meter: FrameMeter,
     rpc_us: rlgraph_obs::Histogram,
@@ -465,9 +452,7 @@ impl RpcClient {
             next_req_id: 0,
             connect_timeout: Duration::from_secs(5),
             ever_connected: false,
-            advertise: LOCAL_CAPS,
-            peer_caps: 0,
-            caps_confirmed: false,
+            lz: true,
             recorder: recorder.clone(),
             meter: FrameMeter::new(recorder),
             rpc_us: recorder.histogram("net.rpc_us"),
@@ -491,14 +476,12 @@ impl RpcClient {
         self.connect_timeout = t;
     }
 
-    /// Opts this client out of capability negotiation permanently:
-    /// every frame ships plain v1, and the server — which only speaks
-    /// flags to clients that advertised first — replies plain too. The
-    /// benchmark's compression-off arm uses this to measure a true v1
-    /// baseline instead of a silently LZ-compressed one.
-    pub fn set_plain_wire(&mut self) {
-        self.advertise = 0;
-        self.peer_caps = 0;
+    /// Whether requests carry the LZ hint: large compressible requests
+    /// ship LZ-compressed and the server may compress its replies. On
+    /// by default; the typed service clients turn it off for
+    /// `CodecProfile::PLAIN`, so the plain profile is the plain wire.
+    pub fn set_lz(&mut self, on: bool) {
+        self.lz = on;
     }
 
     /// Installs the method-id → name table used to label per-method
@@ -517,6 +500,12 @@ impl RpcClient {
         })
     }
 
+    fn record_latency(&mut self, method: u16, t0: Instant) {
+        let elapsed = t0.elapsed();
+        self.rpc_us.record_duration(elapsed);
+        self.method_obs(method).0.record_duration(elapsed);
+    }
+
     fn ensure_connected(&mut self) -> RlResult<()> {
         if self.stream.is_some() {
             return Ok(());
@@ -531,12 +520,16 @@ impl RpcClient {
         Ok(())
     }
 
-    /// Normalizes "the established connection died" io kinds onto
-    /// `ConnectionReset` so they share one retryable class (see module
-    /// docs), and maps timeout kinds onto [`RlError::DeadlineExpired`]
-    /// when the call carried a deadline.
-    fn classify_transport(&self, e: RlError, method: u16, had_deadline: bool) -> RlError {
+    /// The one exit for transport, protocol, and deadline failures: the
+    /// stream may hold a half-written or half-read frame, so it is
+    /// dropped and the next call reconnects. Normalizes "the established
+    /// connection died" io kinds onto `ConnectionReset` so they share
+    /// one retryable class (see module docs), and maps timeout kinds
+    /// onto [`RlError::DeadlineExpired`] when the call carried a
+    /// deadline.
+    fn poison(&mut self, e: RlError, method: u16, had_deadline: bool) -> RlError {
         use std::io::ErrorKind;
+        self.stream = None;
         match e {
             RlError::Io { kind, message } => match kind {
                 ErrorKind::WouldBlock | ErrorKind::TimedOut if had_deadline => {
@@ -550,6 +543,78 @@ impl RpcClient {
             },
             other => other,
         }
+    }
+
+    /// Writes one request frame (connecting first if needed) and
+    /// returns its id. Any failure poisons the stream.
+    fn send(
+        &mut self,
+        method: u16,
+        body: &[u8],
+        expiry: Option<Instant>,
+        ctx: Option<TraceContext>,
+    ) -> RlResult<u64> {
+        self.next_req_id += 1;
+        let req_id = self.next_req_id;
+        let result = (|| {
+            self.ensure_connected()?;
+            let mut payload = ByteWriter::with_capacity(30 + body.len());
+            let kind = match &ctx {
+                Some(c) => {
+                    put_trace_context(&mut payload, c);
+                    FrameKind::RequestTraced
+                }
+                None => FrameKind::Request,
+            };
+            payload.put_u64(req_id);
+            payload.put_u16(method);
+            payload.put_bytes(body);
+            let stream = self.stream.as_ref().expect("connected above");
+            arm_timeouts(stream, expiry)?;
+            write_frame_lz_metered(&mut &*stream, kind, &payload.into_bytes(), self.lz, &self.meter)
+        })();
+        result.map(|()| req_id).map_err(|e| self.poison(e, method, expiry.is_some()))
+    }
+
+    /// Reads the response frame for `req_id` — the one place a response
+    /// is parsed. Outer error: transport/protocol/deadline failure
+    /// (stream poisoned). Inner error: the remote service's typed reply,
+    /// which arrives on a clean, well-framed stream — the connection is
+    /// kept.
+    fn read_reply(
+        &mut self,
+        req_id: u64,
+        method: u16,
+        expiry: Option<Instant>,
+    ) -> RlResult<RlResult<Vec<u8>>> {
+        let result = (|| {
+            let stream = self
+                .stream
+                .as_ref()
+                .ok_or_else(|| RlError::Protocol("pending response on a dead stream".into()))?;
+            arm_timeouts(stream, expiry)?;
+            let frame = read_frame_info_metered(&mut &*stream, &self.meter)?;
+            if frame.kind != FrameKind::Response {
+                return Err(RlError::Protocol(format!(
+                    "{} sent a {:?} frame to a client",
+                    self.peer, frame.kind
+                )));
+            }
+            let mut r = ByteReader::new(&frame.payload);
+            let got_id = r.get_u64()?;
+            if got_id != req_id {
+                return Err(RlError::Protocol(format!(
+                    "{} answered request {} while {} was pending",
+                    self.peer, got_id, req_id
+                )));
+            }
+            match r.get_u8()? {
+                0 => Ok(Ok(r.get_bytes(r.remaining()).expect("remaining").to_vec())),
+                1 => Ok(Err(get_rl_error(&mut r)?)),
+                other => Err(RlError::Protocol(format!("unknown response status {}", other))),
+            }
+        })();
+        result.map_err(|e| self.poison(e, method, expiry.is_some()))
     }
 
     /// Issues one call and blocks for the response.
@@ -585,37 +650,11 @@ impl RpcClient {
         } else {
             (None, None)
         };
-        let result = self.call_inner(method, body, expiry, ctx);
-        // Version negotiation fallback (DESIGN.md §14): a strict
-        // version-1 server rejects our capability flags by closing the
-        // connection before dispatching anything, which surfaces here as
-        // a retryable transport error with the probe still unconfirmed.
-        // Downgrade to plain version-1 words permanently; the caller's
-        // retry (the error class is retryable) re-issues plain.
-        if let Err(e) = &result {
-            if self.advertise != 0 && !self.caps_confirmed && probe_rejected(e) {
-                self.advertise = 0;
-                self.peer_caps = 0;
-            }
-        }
-        let elapsed = t0.elapsed();
-        self.rpc_us.record_duration(elapsed);
-        self.method_obs(method).0.record_duration(elapsed);
-        match result {
-            // A typed error the remote service returned arrives on a
-            // clean, well-framed stream — keep the connection.
-            Ok(reply) => reply,
-            // Transport, protocol, or deadline failures poison the
-            // stream (it may hold a half-read frame): drop it and let
-            // the next call reconnect. The reconnect re-probes: the
-            // process behind the address may have changed versions.
-            Err(e) => {
-                self.stream = None;
-                self.peer_caps = 0;
-                self.caps_confirmed = false;
-                Err(self.classify_transport(e, method, deadline.is_some()))
-            }
-        }
+        let result = self
+            .send(method, body, expiry, ctx)
+            .and_then(|req_id| self.read_reply(req_id, method, expiry));
+        self.record_latency(method, t0);
+        result?
     }
 
     /// Sends a request and returns without reading the response: the
@@ -635,10 +674,6 @@ impl RpcClient {
     /// retryable from the next call, exactly like a synchronous
     /// failure.
     ///
-    /// Until capability negotiation resolves (and again after every
-    /// reconnect) this degrades to a synchronous [`RpcClient::call`] —
-    /// the probe must stay a lone request on the wire.
-    ///
     /// # Errors
     ///
     /// Transport/deadline/protocol errors from the send (or from
@@ -651,105 +686,26 @@ impl RpcClient {
     ) -> RlResult<()> {
         self.drain_deferred()?;
         self.resolve_prefetch();
-        if self.advertise != 0 && !self.caps_confirmed {
-            return self.call(method, body, deadline).map(|_| ());
-        }
         let t0 = Instant::now();
         let expiry = deadline.map(|d| t0 + d);
-        let result = self.send_only(method, body, expiry);
-        let elapsed = t0.elapsed();
-        self.rpc_us.record_duration(elapsed);
-        self.method_obs(method).0.record_duration(elapsed);
-        match result {
-            Ok(req_id) => {
-                self.deferred = Some((req_id, expiry));
-                Ok(())
-            }
-            Err(e) => {
-                self.stream = None;
-                self.peer_caps = 0;
-                self.caps_confirmed = false;
-                Err(self.classify_transport(e, method, deadline.is_some()))
-            }
-        }
-    }
-
-    fn send_only(&mut self, method: u16, body: &[u8], expiry: Option<Instant>) -> RlResult<u64> {
-        self.ensure_connected()?;
-        self.next_req_id += 1;
-        let req_id = self.next_req_id;
-        let mut payload = ByteWriter::with_capacity(14 + body.len());
-        payload.put_u64(req_id);
-        payload.put_u16(method);
-        payload.put_bytes(body);
-        let stream = self.stream.as_ref().expect("connected above");
-        arm_timeouts(stream, expiry)?;
-        write_frame_negotiated_metered(
-            &mut &*stream,
-            FrameKind::Request,
-            &payload.into_bytes(),
-            self.advertise,
-            self.peer_caps,
-            &self.meter,
-        )?;
-        Ok(req_id)
+        let result = self.send(method, body, expiry, None);
+        self.record_latency(method, t0);
+        self.deferred = Some((result?, expiry));
+        Ok(())
     }
 
     /// Reads the ack of an outstanding [`RpcClient::call_deferred`], if
-    /// any. Typed service errors are dropped (see `call_deferred`);
-    /// transport failures poison the stream and return retryable.
+    /// any. Typed service errors are dropped (see `call_deferred`), but
+    /// never silently; transport failures poison the stream and return
+    /// retryable.
     fn drain_deferred(&mut self) -> RlResult<()> {
         let Some((req_id, expiry)) = self.deferred.take() else {
             return Ok(());
         };
-        let result = (|| -> RlResult<()> {
-            let stream = self
-                .stream
-                .as_ref()
-                .ok_or_else(|| RlError::Protocol("deferred ack on a dead stream".into()))?;
-            arm_timeouts(stream, expiry)?;
-            let frame = read_frame_info_metered(&mut &*stream, &self.meter)?;
-            if self.advertise != 0 {
-                self.peer_caps |= frame.peer_caps;
-                self.caps_confirmed = true;
-            }
-            if frame.kind != FrameKind::Response {
-                return Err(RlError::Protocol(format!(
-                    "{} sent a {:?} frame to a client",
-                    self.peer, frame.kind
-                )));
-            }
-            let mut r = ByteReader::new(&frame.payload);
-            let got_id = r.get_u64()?;
-            if got_id != req_id {
-                return Err(RlError::Protocol(format!(
-                    "{} answered request {} while {} was pending",
-                    self.peer, got_id, req_id
-                )));
-            }
-            match r.get_u8()? {
-                0 => {}
-                1 => {
-                    // Typed service error on a healthy stream: dropped
-                    // by the deferred contract, but never silently.
-                    get_rl_error(&mut r)?;
-                    self.recorder.counter("net.deferred_dropped_errors").inc();
-                }
-                other => {
-                    return Err(RlError::Protocol(format!("unknown response status {}", other)));
-                }
-            }
-            Ok(())
-        })();
-        match result {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                self.stream = None;
-                self.peer_caps = 0;
-                self.caps_confirmed = false;
-                Err(self.classify_transport(e, 0, expiry.is_some()))
-            }
+        if self.read_reply(req_id, 0, expiry)?.is_err() {
+            self.recorder.counter("net.deferred_dropped_errors").inc();
         }
+        Ok(())
     }
 
     /// Sends a request whose **response body the caller wants later**:
@@ -767,10 +723,7 @@ impl RpcClient {
     /// [`RlError::Protocol`]. An intervening [`RpcClient::call`] or
     /// [`RpcClient::call_deferred`] on this client resolves the
     /// pending response first (stashing it, typed errors included) so
-    /// request/response pairing is never reordered. Until capability
-    /// negotiation resolves this degrades to a synchronous call whose
-    /// result is stashed — the probe must stay a lone request on the
-    /// wire.
+    /// request/response pairing is never reordered.
     ///
     /// # Errors
     ///
@@ -790,24 +743,10 @@ impl RpcClient {
                 self.peer
             )));
         }
-        if self.advertise != 0 && !self.caps_confirmed {
-            let result = self.call(method, body, deadline);
-            self.prefetch = Some(PrefetchState::Ready(result));
-            return Ok(());
-        }
         let expiry = deadline.map(|d| Instant::now() + d);
-        match self.send_only(method, body, expiry) {
-            Ok(req_id) => {
-                self.prefetch = Some(PrefetchState::Sent { req_id, expiry, method });
-                Ok(())
-            }
-            Err(e) => {
-                self.stream = None;
-                self.peer_caps = 0;
-                self.caps_confirmed = false;
-                Err(self.classify_transport(e, method, deadline.is_some()))
-            }
-        }
+        let req_id = self.send(method, body, expiry, None)?;
+        self.prefetch = Some(PrefetchState::Sent { req_id, expiry, method });
+        Ok(())
     }
 
     /// Collects the response of the outstanding
@@ -829,11 +768,9 @@ impl RpcClient {
             Some(PrefetchState::Ready(result)) => result,
             Some(PrefetchState::Sent { req_id, expiry, method }) => {
                 let t0 = Instant::now();
-                let result = self.read_response(req_id, expiry, method);
-                let elapsed = t0.elapsed();
-                self.rpc_us.record_duration(elapsed);
-                self.method_obs(method).0.record_duration(elapsed);
-                result
+                let result = self.read_reply(req_id, method, expiry);
+                self.record_latency(method, t0);
+                result?
             }
         }
     }
@@ -841,125 +778,9 @@ impl RpcClient {
     /// Turns a sent-but-uncollected prefetch into a stashed result so
     /// another request can use the stream. No-op otherwise.
     fn resolve_prefetch(&mut self) {
-        match self.prefetch.take() {
-            Some(PrefetchState::Sent { req_id, expiry, method }) => {
-                let result = self.read_response(req_id, expiry, method);
-                self.prefetch = Some(PrefetchState::Ready(result));
-            }
-            other => self.prefetch = other,
-        }
-    }
-
-    /// Reads one response frame for `req_id`. Typed service errors
-    /// return on a healthy stream; transport/protocol/deadline failures
-    /// poison it, exactly like the synchronous path.
-    fn read_response(
-        &mut self,
-        req_id: u64,
-        expiry: Option<Instant>,
-        method: u16,
-    ) -> RlResult<Vec<u8>> {
-        let result = (|| -> RlResult<RlResult<Vec<u8>>> {
-            let stream = self
-                .stream
-                .as_ref()
-                .ok_or_else(|| RlError::Protocol("pending response on a dead stream".into()))?;
-            arm_timeouts(stream, expiry)?;
-            let frame = read_frame_info_metered(&mut &*stream, &self.meter)?;
-            if self.advertise != 0 {
-                self.peer_caps |= frame.peer_caps;
-                self.caps_confirmed = true;
-            }
-            if frame.kind != FrameKind::Response {
-                return Err(RlError::Protocol(format!(
-                    "{} sent a {:?} frame to a client",
-                    self.peer, frame.kind
-                )));
-            }
-            let mut r = ByteReader::new(&frame.payload);
-            let got_id = r.get_u64()?;
-            if got_id != req_id {
-                return Err(RlError::Protocol(format!(
-                    "{} answered request {} while {} was pending",
-                    self.peer, got_id, req_id
-                )));
-            }
-            match r.get_u8()? {
-                0 => Ok(Ok(r.get_bytes(r.remaining()).expect("remaining").to_vec())),
-                1 => Ok(Err(get_rl_error(&mut r)?)),
-                other => Err(RlError::Protocol(format!("unknown response status {}", other))),
-            }
-        })();
-        match result {
-            Ok(reply) => reply,
-            Err(e) => {
-                self.stream = None;
-                self.peer_caps = 0;
-                self.caps_confirmed = false;
-                Err(self.classify_transport(e, method, expiry.is_some()))
-            }
-        }
-    }
-
-    /// Outer error: transport/protocol failure (stream poisoned).
-    /// Inner error: the remote service's typed reply (stream healthy).
-    fn call_inner(
-        &mut self,
-        method: u16,
-        body: &[u8],
-        expiry: Option<Instant>,
-        ctx: Option<TraceContext>,
-    ) -> RlResult<RlResult<Vec<u8>>> {
-        self.ensure_connected()?;
-        self.next_req_id += 1;
-        let req_id = self.next_req_id;
-        let mut payload = ByteWriter::with_capacity(30 + body.len());
-        let kind = match &ctx {
-            Some(c) => {
-                put_trace_context(&mut payload, c);
-                FrameKind::RequestTraced
-            }
-            None => FrameKind::Request,
-        };
-        payload.put_u64(req_id);
-        payload.put_u16(method);
-        payload.put_bytes(body);
-        let payload = payload.into_bytes();
-        let stream = self.stream.as_ref().expect("connected above");
-        arm_timeouts(stream, expiry)?;
-        write_frame_negotiated_metered(
-            &mut &*stream,
-            kind,
-            &payload,
-            self.advertise,
-            self.peer_caps,
-            &self.meter,
-        )?;
-        arm_timeouts(stream, expiry)?;
-        let frame = read_frame_info_metered(&mut &*stream, &self.meter)?;
-        let (kind, resp) = (frame.kind, frame.payload);
-        if self.advertise != 0 {
-            self.peer_caps |= frame.peer_caps;
-            self.caps_confirmed = true;
-        }
-        if kind != FrameKind::Response {
-            return Err(RlError::Protocol(format!(
-                "{} sent a {:?} frame to a client",
-                self.peer, kind
-            )));
-        }
-        let mut r = ByteReader::new(&resp);
-        let got_id = r.get_u64()?;
-        if got_id != req_id {
-            return Err(RlError::Protocol(format!(
-                "{} answered request {} while {} was pending",
-                self.peer, got_id, req_id
-            )));
-        }
-        match r.get_u8()? {
-            0 => Ok(Ok(r.get_bytes(r.remaining()).expect("remaining").to_vec())),
-            1 => Ok(Err(get_rl_error(&mut r)?)),
-            other => Err(RlError::Protocol(format!("unknown response status {}", other))),
+        if let Some(PrefetchState::Sent { req_id, expiry, method }) = self.prefetch {
+            let result = self.read_reply(req_id, method, expiry).and_then(|reply| reply);
+            self.prefetch = Some(PrefetchState::Ready(result));
         }
     }
 
@@ -1001,26 +822,6 @@ impl RpcClient {
         sleeper: &dyn Sleep,
     ) -> RlResult<Vec<u8>> {
         policy.run(sleeper, |_| self.call(method, body, deadline))
-    }
-}
-
-/// Whether a failed call looks like a version-1 peer rejecting our
-/// capability flags: such a peer closes the connection (or answers
-/// garbage) without dispatching. Deadline expiry and refused
-/// connections are *not* probe rejections — the server never saw the
-/// flags at all.
-fn probe_rejected(e: &RlError) -> bool {
-    use std::io::ErrorKind;
-    match e {
-        RlError::Protocol(_) => true,
-        RlError::Io { kind, .. } => matches!(
-            kind,
-            ErrorKind::ConnectionReset
-                | ErrorKind::ConnectionAborted
-                | ErrorKind::BrokenPipe
-                | ErrorKind::UnexpectedEof
-        ),
-        _ => false,
     }
 }
 

@@ -12,9 +12,9 @@
 use crate::codec::{
     dequantized_snapshot, get_checkpoint, get_membership, get_metrics_snapshot, get_snapshot,
     get_snapshot_delta, get_tensor, get_trace_dump, get_trajectory, get_trajectory_v2,
-    put_checkpoint, put_membership, put_metrics_snapshot, put_snapshot, put_snapshot_delta,
-    put_snapshot_enc, put_tensor, put_tensor_enc, put_trace_dump, put_trajectory,
-    put_trajectory_v2, CodecProfile, TensorEnc,
+    put_checkpoint, put_membership, put_metrics_snapshot, put_snapshot_delta, put_snapshot_enc,
+    put_tensor, put_tensor_enc, put_trace_dump, put_trajectory, put_trajectory_v2, CodecProfile,
+    TensorEnc,
 };
 use crate::rpc::{RpcClient, RpcService};
 use crate::wire::{ByteReader, ByteWriter};
@@ -36,21 +36,22 @@ use std::time::{Duration, Instant};
 pub mod shard_method {
     /// `Insert { transitions, priorities }` → `()`
     pub const INSERT: u16 = 1;
-    /// `Sample { batch, beta }` → `Option<ShardBatch>`
+    /// `Sample { batch, beta, state enc }` → `Option<ShardBatch>`
     pub const SAMPLE: u16 = 2;
     /// `UpdatePriorities { indices, priorities }` → `()`
     pub const UPDATE_PRIORITIES: u16 = 3;
     /// `Watermark` → `u64`
     pub const WATERMARK: u16 = 4;
-    /// `InsertColumnar { columnar trajectory }` → `()` — the v2 form of
-    /// [`INSERT`]; old servers answer with a typed `Protocol` error and
-    /// the client falls back to v1.
+    /// `InsertColumnar { columnar trajectory }` → `()` — the columnar,
+    /// optionally quantized form of [`INSERT`] (homogeneous batches
+    /// only; the client picks per batch).
     pub const INSERT_COLUMNAR: u16 = 5;
 }
 
 /// Method ids of the learner coordinator service.
 pub mod coord_method {
-    /// `GetWeights { seen }` → `Option<WeightsSnapshot>`
+    /// `GetWeights { seen, sub_id, enc, delta }` → `Option<WeightsSnapshot>`
+    /// (full or delta against what the subscriber holds)
     pub const GET_WEIGHTS: u16 = 1;
     /// `Heartbeat { … }` → [`crate::services::HeartbeatReply`]
     pub const HEARTBEAT: u16 = 2;
@@ -136,16 +137,8 @@ impl RpcService for ShardService {
             shard_method::SAMPLE => {
                 let batch = r.get_u32()? as usize;
                 let beta = r.get_f32()?;
-                // v2 requests append the state encoding for the reply;
-                // v1 requests end here and get exact tensors back.
-                let enc = if r.remaining() > 0 {
-                    let enc = state_enc_from_tag(r.get_u8()?)?;
-                    r.expect_end()?;
-                    enc
-                } else {
-                    r.expect_end()?;
-                    TensorEnc::F32
-                };
+                let enc = state_enc_from_tag(r.get_u8()?)?;
+                r.expect_end()?;
                 match self.core.lock().sample(batch, beta) {
                     None => out.put_u8(0),
                     Some(b) => {
@@ -212,13 +205,11 @@ fn get_shard_batch(r: &mut ByteReader<'_>) -> RlResult<ShardBatch> {
     Ok(ShardBatch { tensors, weights, indices })
 }
 
-fn sample_request(batch: usize, beta: f32, quantized: bool, enc: TensorEnc) -> Vec<u8> {
+fn sample_request(batch: usize, beta: f32, enc: TensorEnc) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.put_u32(batch as u32);
     w.put_f32(beta);
-    if quantized {
-        w.put_u8(enc.tag());
-    }
+    w.put_u8(enc.tag());
     w.into_bytes()
 }
 
@@ -238,13 +229,6 @@ pub struct ShardClient {
     rpc: RpcClient,
     deadline: Option<Duration>,
     codec: CodecProfile,
-    /// Cleared permanently after the server rejects a v2 form (an old
-    /// peer); all later calls use the v1 wire forms.
-    v2_ok: bool,
-    /// Arguments of the outstanding [`ShardClient::sample_prefetch`]
-    /// (batch, beta, request-was-quantized), kept for the old-peer
-    /// downgrade retry at collection time.
-    prefetch_args: Option<(usize, f32, bool)>,
 }
 
 impl ShardClient {
@@ -256,13 +240,10 @@ impl ShardClient {
     pub fn connect(name: &str, addr: SocketAddr, recorder: &Recorder) -> RlResult<Self> {
         let mut rpc = RpcClient::connect(name, addr, recorder)?;
         rpc.set_method_names(shard_method_name);
-        Ok(ShardClient {
-            rpc,
-            deadline: None,
-            codec: CodecProfile::PLAIN,
-            v2_ok: true,
-            prefetch_args: None,
-        })
+        let mut client = ShardClient { rpc, deadline: None, codec: CodecProfile::PLAIN };
+        // Through the setter, so the frame layer follows the profile too.
+        client.set_codec(CodecProfile::PLAIN);
+        Ok(client)
     }
 
     /// Applies a per-call deadline to every subsequent request.
@@ -270,16 +251,12 @@ impl ShardClient {
         self.deadline = d;
     }
 
-    /// Selects the wire encodings for inserts and sample replies.
+    /// Selects the wire encodings for inserts and sample replies, and
+    /// with them the frame layer: every profile but
+    /// [`CodecProfile::PLAIN`] also LZ-compresses frames.
     pub fn set_codec(&mut self, codec: CodecProfile) {
         self.codec = codec;
-        self.v2_ok = true;
-    }
-
-    /// Forces plain v1 frames (no capability negotiation, no LZ) — see
-    /// [`RpcClient::set_plain_wire`].
-    pub fn set_plain_wire(&mut self) {
-        self.rpc.set_plain_wire();
+        self.rpc.set_lz(!codec.is_plain());
     }
 
     /// Ships transitions with worker-side priorities.
@@ -288,15 +265,13 @@ impl ShardClient {
     ///
     /// Transport/deadline/protocol errors from the RPC layer.
     pub fn insert(&mut self, transitions: &[Transition], priorities: &[f32]) -> RlResult<()> {
-        if self.codec.columnar && self.v2_ok {
+        if self.codec.columnar {
             let mut w = ByteWriter::new();
-            // A heterogeneous batch refuses before writing; ship it v1.
+            // A heterogeneous batch refuses before writing; ship it
+            // row-wise and exact.
             if put_trajectory_v2(&mut w, transitions, priorities, self.codec.states).is_ok() {
-                match self.rpc.call(shard_method::INSERT_COLUMNAR, &w.into_bytes(), self.deadline) {
-                    Ok(_) => return Ok(()),
-                    Err(RlError::Protocol(_)) => self.v2_ok = false, // old peer
-                    Err(e) => return Err(e),
-                }
+                self.rpc.call(shard_method::INSERT_COLUMNAR, &w.into_bytes(), self.deadline)?;
+                return Ok(());
             }
         }
         let mut w = ByteWriter::new();
@@ -311,18 +286,8 @@ impl ShardClient {
     ///
     /// Transport/deadline/protocol errors from the RPC layer.
     pub fn sample(&mut self, batch: usize, beta: f32) -> RlResult<Option<ShardBatch>> {
-        let quantized = self.codec.states != TensorEnc::F32 && self.v2_ok;
-        let req = sample_request(batch, beta, quantized, self.codec.states);
-        let resp = match self.rpc.call(shard_method::SAMPLE, &req, self.deadline) {
-            Err(RlError::Protocol(_)) if quantized => {
-                // Old peer choked on the extra request byte: downgrade.
-                self.v2_ok = false;
-                let req = sample_request(batch, beta, false, self.codec.states);
-                self.rpc.call(shard_method::SAMPLE, &req, self.deadline)?
-            }
-            other => other?,
-        };
-        decode_sample(&resp)
+        let req = sample_request(batch, beta, self.codec.states);
+        decode_sample(&self.rpc.call(shard_method::SAMPLE, &req, self.deadline)?)
     }
 
     /// Requests a batch without waiting for it: the pipelined form of
@@ -335,35 +300,20 @@ impl ShardClient {
     ///
     /// Transport/deadline/protocol errors from the RPC layer.
     pub fn sample_prefetch(&mut self, batch: usize, beta: f32) -> RlResult<()> {
-        let quantized = self.codec.states != TensorEnc::F32 && self.v2_ok;
-        let req = sample_request(batch, beta, quantized, self.codec.states);
-        self.prefetch_args = Some((batch, beta, quantized));
+        let req = sample_request(batch, beta, self.codec.states);
         self.rpc.call_prefetch(shard_method::SAMPLE, &req, self.deadline)
     }
 
     /// Collects the batch of the outstanding
     /// [`ShardClient::sample_prefetch`]; `None` while the shard is
-    /// under-filled. An old peer rejecting the quantized request is
-    /// downgraded here exactly like in the synchronous path (resampled
-    /// plain, once).
+    /// under-filled.
     ///
     /// # Errors
     ///
     /// Transport/deadline/protocol errors from the RPC layer, or
     /// [`RlError::Protocol`] when no prefetch is outstanding.
     pub fn sample_collect(&mut self) -> RlResult<Option<ShardBatch>> {
-        let (batch, beta, quantized) = self
-            .prefetch_args
-            .take()
-            .ok_or_else(|| RlError::Protocol("no prefetched sample outstanding".into()))?;
-        let resp = match self.rpc.take_prefetched() {
-            Err(RlError::Protocol(_)) if quantized => {
-                self.v2_ok = false;
-                return self.sample(batch, beta);
-            }
-            other => other?,
-        };
-        decode_sample(&resp)
+        decode_sample(&self.rpc.take_prefetched()?)
     }
 
     /// Applies the learner's post-step priority updates. Pipelined: the
@@ -401,7 +351,7 @@ impl ShardClient {
 
 /// A worker's heartbeat: cumulative-progress deltas since its last beat,
 /// plus the telemetry piggyback (metric deltas and the worker's current
-/// clock-offset estimate, both optional and version-tolerant on the wire).
+/// clock-offset estimate, both optional).
 #[derive(Debug, Clone, Default)]
 pub struct Heartbeat {
     /// worker index
@@ -422,8 +372,8 @@ pub struct Heartbeat {
     /// own capture clock (`taken_at_us`), not coordinator receive time
     pub snapshot: Option<MetricsSnapshot>,
     /// the worker's incarnation (see DESIGN.md §16); `0` means "not
-    /// membership-tracked" (legacy peers, fixed-fleet runs) and the
-    /// coordinator then skips liveness accounting for the beat
+    /// membership-tracked" (fixed-fleet runs) and the coordinator then
+    /// skips liveness accounting for the beat
     pub generation: u64,
 }
 
@@ -620,62 +570,51 @@ impl RpcService for CoordService {
         let mut out = ByteWriter::new();
         match method {
             coord_method::GET_WEIGHTS => {
+                // [seen u64][sub_id u64][enc u8][flags u8]
                 let seen = r.get_u64()?;
-                if r.remaining() == 0 {
-                    // v1 peer: exact snapshot, no tracking.
-                    match self.hub.poll(seen) {
-                        None => out.put_u8(0),
-                        Some(snap) => {
-                            out.put_u8(1);
-                            put_snapshot(&mut out, &snap);
+                let sub_id = r.get_u64()?;
+                let enc = state_enc_from_tag(r.get_u8()?)?;
+                let want_delta = r.get_u8()? & 1 != 0;
+                r.expect_end()?;
+                match self.hub.poll(seen) {
+                    None => {
+                        out.put_u8(0);
+                        if want_delta {
+                            self.subs.lock().touch(sub_id);
                         }
                     }
-                } else {
-                    // v2 peer: [seen][sub_id u64][enc u8][flags u8].
-                    let sub_id = r.get_u64()?;
-                    let enc = state_enc_from_tag(r.get_u8()?)?;
-                    let want_delta = r.get_u8()? & 1 != 0;
-                    r.expect_end()?;
-                    match self.hub.poll(seen) {
-                        None => {
-                            out.put_u8(0);
-                            if want_delta {
-                                self.subs.lock().touch(sub_id);
+                    Some(snap) => {
+                        let mut subs = self.subs.lock();
+                        subs.sweep();
+                        // Delta only against exactly what the peer
+                        // says it holds; anything else (first
+                        // contact, version gap, eviction) gets a
+                        // full snapshot and is re-tracked.
+                        let held = if want_delta { subs.touch(sub_id) } else { None };
+                        let held = held.filter(|h| {
+                            h.version == seen
+                                && h.weights.len() == snap.weights.len()
+                                && h.weights
+                                    .iter()
+                                    .zip(&snap.weights)
+                                    .all(|((a, _), (b, _))| a == b)
+                        });
+                        match held {
+                            Some(held) => {
+                                out.put_u8(3);
+                                put_snapshot_delta(&mut out, &held, &snap, enc)
+                                    .expect("structure prechecked");
+                            }
+                            None => {
+                                out.put_u8(1);
+                                put_snapshot_enc(&mut out, &snap, enc);
                             }
                         }
-                        Some(snap) => {
-                            let mut subs = self.subs.lock();
-                            subs.sweep();
-                            // Delta only against exactly what the peer
-                            // says it holds; anything else (first
-                            // contact, version gap, eviction) gets a
-                            // full snapshot and is re-tracked.
-                            let held = if want_delta { subs.touch(sub_id) } else { None };
-                            let held = held.filter(|h| {
-                                h.version == seen
-                                    && h.weights.len() == snap.weights.len()
-                                    && h.weights
-                                        .iter()
-                                        .zip(&snap.weights)
-                                        .all(|((a, _), (b, _))| a == b)
-                            });
-                            match held {
-                                Some(held) => {
-                                    out.put_u8(3);
-                                    put_snapshot_delta(&mut out, &held, &snap, enc)
-                                        .expect("structure prechecked");
-                                }
-                                None => {
-                                    out.put_u8(1);
-                                    put_snapshot_enc(&mut out, &snap, enc);
-                                }
-                            }
-                            if want_delta {
-                                subs.record(sub_id, self.deq_image(&snap, enc));
-                                self.recorder
-                                    .gauge("net.coord.delta_state_bytes")
-                                    .set(subs.approx_bytes() as f64);
-                            }
+                        if want_delta {
+                            subs.record(sub_id, self.deq_image(&snap, enc));
+                            self.recorder
+                                .gauge("net.coord.delta_state_bytes")
+                                .set(subs.approx_bytes() as f64);
                         }
                     }
                 }
@@ -691,9 +630,8 @@ impl RpcService for CoordService {
                     0 => None,
                     _ => Some(get_metrics_snapshot(&mut r)?),
                 };
-                // Trailing generation: absent on legacy beats, 0 when
-                // the worker is not membership-tracked.
-                let generation = if r.remaining() > 0 { r.get_u64()? } else { 0 };
+                // 0 when the worker is not membership-tracked.
+                let generation = r.get_u64()?;
                 r.expect_end()?;
                 if generation > 0 {
                     // Liveness piggybacks here: a stale-generation beat
@@ -793,8 +731,6 @@ pub struct CoordClient {
     /// The snapshot this client currently holds, the base deltas apply
     /// to. Only kept while the profile asks for deltas.
     held: Option<WeightsSnapshot>,
-    /// Cleared permanently after the server rejects a v2 request.
-    v2_ok: bool,
 }
 
 impl CoordClient {
@@ -808,14 +744,11 @@ impl CoordClient {
         let mut rpc = RpcClient::connect("coordinator", addr, recorder)?;
         rpc.set_method_names(coord_method_name);
         let sub_id = ((std::process::id() as u64) << 32) | NEXT_SUB.fetch_add(1, Ordering::Relaxed);
-        Ok(CoordClient {
-            rpc,
-            deadline: None,
-            codec: CodecProfile::PLAIN,
-            sub_id,
-            held: None,
-            v2_ok: true,
-        })
+        let mut client =
+            CoordClient { rpc, deadline: None, codec: CodecProfile::PLAIN, sub_id, held: None };
+        // Through the setter, so the frame layer follows the profile too.
+        client.set_codec(CodecProfile::PLAIN);
+        Ok(client)
     }
 
     /// Applies a per-call deadline to every subsequent request.
@@ -823,17 +756,13 @@ impl CoordClient {
         self.deadline = d;
     }
 
-    /// Selects the wire encodings for weight sync.
+    /// Selects the wire encodings for weight sync, and with them the
+    /// frame layer: every profile but [`CodecProfile::PLAIN`] also
+    /// LZ-compresses frames.
     pub fn set_codec(&mut self, codec: CodecProfile) {
         self.codec = codec;
-        self.v2_ok = true;
+        self.rpc.set_lz(!codec.is_plain());
         self.held = None;
-    }
-
-    /// Forces plain v1 frames (no capability negotiation, no LZ) — see
-    /// [`RpcClient::set_plain_wire`].
-    pub fn set_plain_wire(&mut self) {
-        self.rpc.set_plain_wire();
     }
 
     /// Fetches a weight snapshot newer than `seen`, if one exists.
@@ -846,9 +775,6 @@ impl CoordClient {
     ///
     /// Transport/deadline/protocol errors from the RPC layer.
     pub fn get_weights(&mut self, seen: u64) -> RlResult<Option<WeightsSnapshot>> {
-        if self.codec.is_plain() || !self.v2_ok {
-            return self.get_weights_v1(seen);
-        }
         // At most one self-healing retry: a failed delta apply clears
         // the held base, and the server (which just recorded us at the
         // new version ≠ `seen`) answers the retry with a full snapshot.
@@ -858,16 +784,7 @@ impl CoordClient {
             w.put_u64(self.sub_id);
             w.put_u8(self.codec.weights.tag());
             w.put_u8(u8::from(self.codec.delta));
-            let resp =
-                match self.rpc.call(coord_method::GET_WEIGHTS, &w.into_bytes(), self.deadline) {
-                    Ok(resp) => resp,
-                    Err(RlError::Protocol(_)) => {
-                        // Old coordinator: downgrade permanently.
-                        self.v2_ok = false;
-                        return self.get_weights_v1(seen);
-                    }
-                    Err(e) => return Err(e),
-                };
+            let resp = self.rpc.call(coord_method::GET_WEIGHTS, &w.into_bytes(), self.deadline)?;
             let mut r = ByteReader::new(&resp);
             match r.get_u8()? {
                 0 => {
@@ -907,20 +824,6 @@ impl CoordClient {
         Err(RlError::Protocol("delta weight sync failed to converge".into()))
     }
 
-    fn get_weights_v1(&mut self, seen: u64) -> RlResult<Option<WeightsSnapshot>> {
-        let mut w = ByteWriter::new();
-        w.put_u64(seen);
-        let resp = self.rpc.call(coord_method::GET_WEIGHTS, &w.into_bytes(), self.deadline)?;
-        let mut r = ByteReader::new(&resp);
-        let out = match r.get_u8()? {
-            0 => None,
-            1 => Some(get_snapshot(&mut r)?),
-            other => return Err(RlError::Protocol(format!("bad weights flag {}", other))),
-        };
-        r.expect_end()?;
-        Ok(out)
-    }
-
     /// Reports progress; the reply says whether the run is over and
     /// carries the coordinator's clock for offset estimation.
     ///
@@ -947,8 +850,7 @@ impl CoordClient {
         let mut r = ByteReader::new(&resp);
         let stop = r.get_u8()? != 0;
         let coord_now_us = r.get_u64()?;
-        // Trailing retire flag: absent in replies from older coordinators.
-        let retire = if r.remaining() > 0 { r.get_u8()? != 0 } else { false };
+        let retire = r.get_u8()? != 0;
         r.expect_end()?;
         Ok(HeartbeatReply { stop, coord_now_us, retire })
     }

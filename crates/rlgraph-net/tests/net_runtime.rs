@@ -65,6 +65,70 @@ fn shard_service_over_tcp_serves_the_replay_path() {
     server.shutdown();
 }
 
+/// A typed `Protocol` reply is one failed call, not a verdict on the
+/// peer: the client surfaces it and keeps speaking its profile's
+/// dialect (columnar inserts, LZ frames) on the next call.
+#[test]
+fn shard_client_keeps_its_codec_profile_after_a_protocol_reply() {
+    use rlgraph_net::codec::CodecProfile;
+    use rlgraph_net::services::shard_method;
+    use std::sync::Mutex;
+
+    /// A shard that records every method id and rejects its first
+    /// request with a typed protocol error.
+    struct RejectFirst {
+        shard: ShardService,
+        seen: Mutex<Vec<u16>>,
+    }
+    impl RpcService for RejectFirst {
+        fn call(&self, method: u16, body: &[u8]) -> Result<Vec<u8>, RlError> {
+            let mut seen = self.seen.lock().unwrap();
+            seen.push(method);
+            if seen.len() == 1 {
+                return Err(RlError::Protocol("injected".into()));
+            }
+            self.shard.call(method, body)
+        }
+        fn method_name(&self, method: u16) -> &'static str {
+            self.shard.method_name(method)
+        }
+    }
+
+    let service = Arc::new(RejectFirst {
+        shard: ShardService::new(64, 0.6, 0),
+        seen: Mutex::new(Vec::new()),
+    });
+    let server = RpcServer::spawn("shard", service.clone(), Recorder::disabled()).unwrap();
+    let recorder = Recorder::wall();
+    let mut client = ShardClient::connect("shard", server.addr(), &recorder).unwrap();
+    client.set_codec(CodecProfile::COMPRESSED);
+
+    let transitions: Vec<_> = (0..64)
+        .map(|i| {
+            rlgraph_memory::Transition::new(
+                Tensor::full(&[32], i as f32),
+                Tensor::scalar_i64(0),
+                1.0,
+                Tensor::full(&[32], i as f32 + 1.0),
+                false,
+            )
+        })
+        .collect();
+    let err = client.insert(&transitions, &[1.0; 64]).unwrap_err();
+    assert!(matches!(err, RlError::Protocol(_)), "got {err}");
+    client.insert(&transitions, &[1.0; 64]).unwrap();
+    assert_eq!(
+        *service.seen.lock().unwrap(),
+        vec![shard_method::INSERT_COLUMNAR, shard_method::INSERT_COLUMNAR]
+    );
+    assert_eq!(client.watermark().unwrap(), 64);
+    // Both inserts crossed the wire columnar, i8-quantized and LZ'd:
+    // far below one exact row-wise copy (64 × 2 × 32 f32 = 16 KiB).
+    let tx = recorder.counter("net.bytes_tx").value();
+    assert!(tx < 8192, "inserts shipped {} bytes", tx);
+    server.shutdown();
+}
+
 #[test]
 fn coordinator_distributes_weights_and_checkpoints_over_tcp() {
     let recorder = Recorder::disabled();

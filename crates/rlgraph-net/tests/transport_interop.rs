@@ -5,9 +5,10 @@
 
 use rlgraph_core::RlError;
 use rlgraph_net::rpc::{RpcClient, RpcService};
-use rlgraph_net::{ServerHandle, Transport};
+use rlgraph_net::{FaultProxy, FaultProxyConfig, ServerHandle, Transport};
 use rlgraph_obs::{DumpKind, Recorder};
 use rlgraph_reactor::mux::{MuxClient, MuxClientConfig};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -122,45 +123,96 @@ fn transport_switch_is_behavior_preserving() {
     }
 }
 
-/// Capability negotiation engages across both stack pairings: after the
-/// first advertised request, large compressible payloads ship
-/// LZ-compressed in both directions, and the decoded bytes are intact.
+/// 8 KiB of one byte: LZ collapses it to a few dozen.
+static COMPRESSIBLE: [u8; 8192] = [0x42; 8192];
+
+/// An echo of [`COMPRESSIBLE`] through either client stack.
+type Echo = Box<dyn FnMut() -> Result<Vec<u8>, RlError>>;
+
+fn echo_client(mux: bool, addr: std::net::SocketAddr, recorder: &Recorder) -> Echo {
+    let deadline = Some(Duration::from_secs(5));
+    if mux {
+        let client = MuxClient::connect("interop", addr, recorder).unwrap();
+        Box::new(move || client.call(ECHO, &COMPRESSIBLE, deadline))
+    } else {
+        let mut client = RpcClient::connect("interop", addr, recorder).unwrap();
+        Box::new(move || client.call(ECHO, &COMPRESSIBLE, deadline))
+    }
+}
+
+/// Frame compression works across all three stack pairings from the
+/// very first request: large compressible payloads ship LZ-compressed
+/// in both directions, and the decoded bytes are intact.
 #[test]
-fn negotiated_compression_across_stacks() {
-    // Blocking client against the reactor server, then the blocking
-    // server (the mux-client pairing is covered below) — both must
-    // land on the same negotiated state from the same probe protocol.
-    for transport in [Transport::Blocking, Transport::Reactor] {
+fn compression_across_stacks() {
+    for (transport, mux) in
+        [(Transport::Blocking, false), (Transport::Reactor, false), (Transport::Blocking, true)]
+    {
         let (server, recorder) = spawn_on(transport);
-        let mut client = RpcClient::connect("interop", server.addr(), &recorder).unwrap();
-        let payload = vec![0x42u8; 8192];
+        let mut echo = echo_client(mux, server.addr(), &recorder);
         for _ in 0..3 {
-            assert_eq!(client.call(ECHO, &payload, Some(Duration::from_secs(5))).unwrap(), payload);
+            assert_eq!(echo().unwrap(), COMPRESSIBLE);
         }
+        drop(echo);
         server.shutdown();
-        // 3 requests + 3 responses; plain would meter ≥ 6 × 8 KiB. The
-        // probe request ships plain (peer caps unknown), everything
-        // after must compress.
+        // 3 requests + 3 responses share the recorder; plain would meter
+        // ≥ 6 × 8 KiB, and a single plain frame already ≥ 8 KiB.
         let tx = recorder.counter("net.bytes_tx").value();
         assert!(
-            tx < 6 * 8192,
-            "compression never engaged over {:?}: {} bytes on the wire",
+            tx < 8192,
+            "a frame shipped uncompressed over {:?} (mux client: {}): {} bytes on the wire",
             transport,
+            mux,
             tx
         );
     }
+}
 
-    // Mux client against the blocking server.
-    let (server, recorder) = spawn_on(Transport::Blocking);
-    let config = MuxClientConfig { method_names, ..MuxClientConfig::default() };
-    let client = MuxClient::connect_with("interop", server.addr(), &recorder, config).unwrap();
-    let payload = vec![0x42u8; 8192];
-    for _ in 0..3 {
-        assert_eq!(client.call(ECHO, &payload, Some(Duration::from_secs(5))).unwrap(), payload);
+/// One reset must not change the wire dialect: a client whose *first*
+/// exchange on a connection dies (the fault proxy refuses connection
+/// serial 0) reconnects and still compresses, on both client stacks.
+#[test]
+fn compression_survives_a_reset_first_exchange() {
+    const N: u64 = 4;
+    for mux in [false, true] {
+        let (server, _) = spawn_on(Transport::Blocking);
+        let proxy = FaultProxy::spawn(
+            server.addr(),
+            FaultProxyConfig { cut_connections: vec![0], ..FaultProxyConfig::default() },
+            Recorder::disabled(),
+        )
+        .unwrap();
+        // The client's own recorder: only its requests are metered.
+        let recorder = Recorder::wall();
+        let mut echo = echo_client(mux, proxy.addr(), &recorder);
+        let (mut ok, mut failed) = (0, 0);
+        while ok < N {
+            match echo() {
+                Ok(body) => {
+                    assert_eq!(body, COMPRESSIBLE);
+                    ok += 1;
+                }
+                Err(e) => {
+                    assert!(e.is_retryable(), "reset must stay retryable, got {e}");
+                    failed += 1;
+                    assert!(failed < 20, "client never recovered (mux: {})", mux);
+                    std::thread::sleep(Duration::from_millis(20));
+                }
+            }
+        }
+        assert!(recorder.counter("net.reconnects").value() >= 1, "serial 0 was not cut");
+        let tx = recorder.counter("net.bytes_tx").value();
+        assert!(
+            tx < N * 8192 / 4,
+            "client (mux: {}) stopped compressing after one reset: {} bytes for {} echoes",
+            mux,
+            tx,
+            N
+        );
+        drop(echo);
+        proxy.shutdown();
+        server.shutdown();
     }
-    server.shutdown();
-    let tx = recorder.counter("net.bytes_tx").value();
-    assert!(tx < 6 * 8192, "mux client never negotiated compression: {} bytes", tx);
 }
 
 /// Deferred (pipelined) calls interleave with synchronous ones on both
@@ -172,9 +224,6 @@ fn deferred_calls_pipeline_across_stacks() {
         let (server, recorder) = spawn_on(transport);
         let mut client = RpcClient::connect("interop", server.addr(), &recorder).unwrap();
         client.set_method_names(method_names);
-        // Resolve the capability probe first (deferred degrades to sync
-        // until then).
-        assert_eq!(client.call(ECHO, b"probe", Some(Duration::from_secs(5))).unwrap(), b"probe");
         for i in 0..5u8 {
             client.call_deferred(ECHO, &[i], Some(Duration::from_secs(5))).unwrap();
             // The drained ack must belong to the deferred request, not
@@ -234,83 +283,70 @@ fn prefetched_calls_pipeline_across_stacks() {
     }
 }
 
-/// A strict version-1 peer (the previous release): it drops any
-/// connection whose version word carries capability flags. Both client
-/// stacks must downgrade to plain v1 on the failed probe and succeed on
-/// the caller's retry — old peers keep working, just uncompressed.
+/// Counts dispatches, so a test can assert a rejected frame never
+/// reached the service.
+struct CountingService(Arc<AtomicUsize>);
+
+impl RpcService for CountingService {
+    fn call(&self, _method: u16, body: &[u8]) -> Result<Vec<u8>, RlError> {
+        self.0.fetch_add(1, Ordering::SeqCst);
+        Ok(body.to_vec())
+    }
+
+    fn method_name(&self, _method: u16) -> &'static str {
+        "count"
+    }
+}
+
+/// The version word is checked, never negotiated: a frame with the
+/// previous base version, or with a flag bit this build does not
+/// define, is a typed protocol error in both decoders and makes both
+/// servers close the connection without dispatching.
 #[test]
-fn old_v1_server_downgrades_clients_to_plain() {
-    use rlgraph_net::frame::{write_frame, FrameKind};
-    use std::io::Read;
-    use std::net::TcpListener;
+fn foreign_version_words_are_rejected_everywhere() {
+    use rlgraph_net::frame::{encode_frame, read_frame, FrameDecoder, FrameKind, VERSION};
+    use std::io::{Read, Write};
 
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let _old_server = std::thread::spawn(move || {
-        // Serve connections sequentially; clients reconnect after the
-        // rejected probe.
-        for stream in listener.incoming() {
-            let Ok(mut stream) = stream else { return };
-            loop {
-                let mut header = [0u8; 12];
-                if stream.read_exact(&mut header).is_err() {
-                    break;
-                }
-                let word = u16::from_le_bytes([header[4], header[5]]);
-                if word != 1 {
-                    // Old peer: "unsupported protocol version" → close
-                    // the connection unanswered.
-                    break;
-                }
-                let len = u32::from_le_bytes(header[8..12].try_into().unwrap()) as usize;
-                let mut rest = vec![0u8; len + 4]; // payload + CRC
-                if stream.read_exact(&mut rest).is_err() {
-                    break;
-                }
-                // Request payload: [req_id u64][method u16][body…];
-                // answer [req_id][status 0 = ok][body…] in plain v1.
-                let payload = &rest[..len];
-                let mut resp = payload[..8].to_vec();
-                resp.push(0);
-                resp.extend_from_slice(&payload[10..]);
-                if write_frame(&mut stream, FrameKind::Response, &resp).is_err() {
-                    break;
-                }
+    // [req_id u64][method u16][body]
+    let mut request = 7u64.to_le_bytes().to_vec();
+    request.extend_from_slice(&ECHO.to_le_bytes());
+    request.extend_from_slice(b"body");
+    let good = encode_frame(FrameKind::Request, &request).unwrap();
+    let cases: [(&str, usize, u8, &str); 2] = [
+        ("old base version", 4, VERSION - 1, "version"),
+        ("unknown flag bit", 5, 0x80, "wire flags"),
+    ];
+    for (what, byte, value, needle) in cases {
+        let mut bad = good.clone();
+        bad[byte] = value;
+
+        let err = read_frame(&mut bad.as_slice()).unwrap_err();
+        assert!(matches!(err, RlError::Protocol(ref m) if m.contains(needle)), "{what}: {err}");
+        let mut decoder = FrameDecoder::new();
+        decoder.feed(&bad);
+        let err = decoder.next().unwrap_err();
+        assert!(matches!(err, RlError::Protocol(ref m) if m.contains(needle)), "{what}: {err}");
+
+        for transport in [Transport::Blocking, Transport::Reactor] {
+            let dispatched = Arc::new(AtomicUsize::new(0));
+            let service = Arc::new(CountingService(dispatched.clone()));
+            let server = transport.spawn("strict", service, Recorder::disabled()).unwrap();
+            let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
+            stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            stream.write_all(&bad).unwrap();
+            // The server answers nothing and closes: EOF (or a reset),
+            // never a response frame.
+            let mut reply = Vec::new();
+            match stream.read_to_end(&mut reply) {
+                Ok(_) => assert!(reply.is_empty(), "{what}: {transport:?} answered {reply:?}"),
+                Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset, "{what}"),
             }
-        }
-    });
-
-    let recorder = Recorder::disabled();
-
-    // Blocking client: the advertised probe dies, the retry goes plain.
-    let mut client = RpcClient::connect("interop", addr, &recorder).unwrap();
-    let probe = client.call(ECHO, b"hello", Some(Duration::from_secs(5)));
-    assert!(probe.is_err(), "v1 peer must reject the capability probe");
-    assert_eq!(
-        client.call(ECHO, b"hello", Some(Duration::from_secs(5))).unwrap(),
-        b"hello",
-        "blocking client did not fall back to plain v1"
-    );
-    // The fake server handles one connection at a time: release the
-    // blocking client's socket before the mux client dials in.
-    drop(client);
-
-    // Mux client: same protocol, severed-before-first-frame heuristic.
-    let config = MuxClientConfig { method_names, ..MuxClientConfig::default() };
-    let client = MuxClient::connect_with("interop", addr, &recorder, config).unwrap();
-    let probe = client.call(ECHO, b"hello", Some(Duration::from_secs(5)));
-    assert!(probe.is_err(), "v1 peer must reject the mux capability probe");
-    let mut ok = false;
-    for _ in 0..10 {
-        // The mux reconnect is asynchronous; give it a few tries.
-        match client.call(ECHO, b"hello", Some(Duration::from_secs(5))) {
-            Ok(body) => {
-                assert_eq!(body, b"hello");
-                ok = true;
-                break;
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(50)),
+            server.shutdown();
+            assert_eq!(
+                dispatched.load(Ordering::SeqCst),
+                0,
+                "{what}: {transport:?} dispatched a rejected frame"
+            );
         }
     }
-    assert!(ok, "mux client did not fall back to plain v1");
 }

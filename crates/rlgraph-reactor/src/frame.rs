@@ -5,7 +5,7 @@
 //! ```text
 //! ┌────────────┬──────────┬─────────┬──────────┬───────────┬──────────┐
 //! │ magic u32  │ ver u16  │ kind u16│ len u32  │ payload…  │ crc32 u32│
-//! │ 0x524C4E46 │ 1        │         │ N        │ N bytes   │ (payload)│
+//! │ 0x524C4E46 │ 2|flags  │         │ N        │ N bytes   │ (payload)│
 //! └────────────┴──────────┴─────────┴──────────┴───────────┴──────────┘
 //! ```
 //!
@@ -17,26 +17,22 @@
 //! failures surface as `RlError::Io` via the blanket
 //! `From<std::io::Error>` conversion.
 //!
-//! # Version word: base version + wire flags (DESIGN.md §14)
+//! # Version word (DESIGN.md §14)
 //!
 //! The `ver u16` splits into a low base-version byte and a high flags
-//! byte. Version-1 peers wrote the plain word `1` (flags zero), and
-//! that wire form is still what a sender emits until it learns better.
-//! The high byte carries, per frame:
+//! byte. Every peer on an rlgraph-net socket is this same build, so the
+//! base version is a check, not a negotiation: a frame with any other
+//! base version, or with a flag bit this build does not define, is
+//! rejected with a typed [`RlError::Protocol`] and the connection
+//! closes. The flags, both per frame and both stateless:
 //!
 //! * [`FLAG_COMPRESSED`] — this frame's payload is an LZ blob
-//!   ([`crate::compress()`]); the CRC covers the compressed bytes.
-//! * [`CAP_LZ`] / [`CAP_CODEC_V2`] — the **sender advertises** which
-//!   encodings it can decode. A peer may use an advertised encoding on
-//!   everything it sends back; it must not otherwise. Since a strict
-//!   version-1 peer rejects any nonzero high byte outright, a new
-//!   client probes by advertising on its first request and falls back
-//!   to plain version-1 words when the connection dies unanswered —
-//!   and a server only ever advertises to clients that advertised
-//!   first, so an old client never sees a flagged frame.
-//!
-//! Unknown high-byte bits reject the frame with a typed
-//! [`RlError::Protocol`], exactly like an unknown base version.
+//!   ([`crate::compress()`]); the CRC covers the compressed bytes. Any
+//!   receiver decodes it.
+//! * [`CAP_LZ`] — set by a client on a request: the reply to *this*
+//!   request may be LZ-compressed. A server compresses a reply only
+//!   when the request that caused it carried the bit, and remembers
+//!   nothing between requests.
 
 use crate::compress;
 use crate::wire::crc32;
@@ -46,35 +42,23 @@ use std::io::{Read, Write};
 /// Frame magic: ASCII "RLNF" (rlgraph net frame).
 pub const MAGIC: u32 = 0x524C_4E46;
 
-/// Current protocol version, as the plain wire word version-1 peers
-/// exchange (flags byte zero). Bumped on any wire-incompatible change;
-/// peers reject frames from other base versions outright.
-pub const VERSION: u16 = 1;
-
-/// The base-version byte every compatible peer must speak (the low byte
-/// of the version word).
-pub const BASE_VERSION: u8 = 1;
+/// The base protocol version: the low byte of every version word.
+/// Bumped on any wire-incompatible change; peers reject frames from
+/// other base versions outright.
+pub const VERSION: u8 = 2;
 
 /// Version-word flag: this frame's payload is compressed with
 /// [`crate::compress()`] and must be decompressed before dispatch.
 pub const FLAG_COMPRESSED: u8 = 0x01;
 
-/// Version-word capability: the sender can decode
-/// [`FLAG_COMPRESSED`] payloads, so the receiver may compress replies.
+/// Version-word flag on a request: the sender decodes
+/// [`FLAG_COMPRESSED`] payloads, so the reply to this request may be
+/// compressed.
 pub const CAP_LZ: u8 = 0x02;
-
-/// Version-word capability: the sender decodes the v2 codec family —
-/// quantized tensor encodings, columnar trajectories, delta weight
-/// snapshots (DESIGN.md §14).
-pub const CAP_CODEC_V2: u8 = 0x04;
 
 /// Every version-word flag this build understands; any other high-byte
 /// bit rejects the frame.
-pub const KNOWN_WIRE_FLAGS: u8 = FLAG_COMPRESSED | CAP_LZ | CAP_CODEC_V2;
-
-/// The capability bits (not per-frame flags) of [`KNOWN_WIRE_FLAGS`] —
-/// what a fully-featured peer advertises.
-pub const LOCAL_CAPS: u8 = CAP_LZ | CAP_CODEC_V2;
+pub const KNOWN_WIRE_FLAGS: u8 = FLAG_COMPRESSED | CAP_LZ;
 
 /// Payloads below this many bytes are never compressed: the method byte
 /// plus the matcher's CPU cost more than the handful of bytes saved.
@@ -83,10 +67,10 @@ pub const COMPRESS_MIN_LEN: usize = 512;
 /// Validates a version word; returns its flags byte.
 fn parse_version(word: u16) -> Result<u8, String> {
     let base = (word & 0x00ff) as u8;
-    if base != BASE_VERSION {
+    if base != VERSION {
         return Err(format!(
             "unsupported protocol version {} (this peer speaks {})",
-            base, BASE_VERSION
+            base, VERSION
         ));
     }
     let flags = (word >> 8) as u8;
@@ -118,7 +102,7 @@ pub enum FrameKind {
     RequestTraced,
     /// A liveness probe (empty payload). Mux peers answer with
     /// [`FrameKind::Pong`]; sent only when heartbeats are enabled, since
-    /// version-1 blocking peers reject unknown kinds.
+    /// the blocking server closes on a ping instead of answering it.
     Ping,
     /// The answer to a [`FrameKind::Ping`] (empty payload).
     Pong,
@@ -198,25 +182,22 @@ impl FrameMeter {
     }
 }
 
-/// Writes one frame (header, payload, CRC) and flushes.
+/// Writes one plain frame (header, payload, CRC; flags byte zero) and
+/// flushes.
 ///
 /// # Errors
 ///
 /// `RlError::Io` on transport failure; [`RlError::Protocol`] if the
 /// payload exceeds [`MAX_FRAME_LEN`].
 pub fn write_frame(w: &mut impl Write, kind: FrameKind, payload: &[u8]) -> RlResult<()> {
-    write_frame_raw(w, kind, payload, 0)
+    write_frame_flags(w, kind, payload, 0)
 }
 
 /// Writes one frame with an explicit flags byte in the version word.
-/// The payload is written as given — callers compressing must pass the
-/// compressed bytes **and** set [`FLAG_COMPRESSED`] themselves; prefer
-/// [`encode_frame_negotiated`], which does both.
-///
-/// # Errors
-///
-/// As [`write_frame`].
-pub fn write_frame_raw(
+/// The payload is written as given: [`encode_frame_lz`] is the one
+/// caller that passes compressed bytes together with
+/// [`FLAG_COMPRESSED`].
+fn write_frame_flags(
     w: &mut impl Write,
     kind: FrameKind,
     payload: &[u8],
@@ -229,7 +210,7 @@ pub fn write_frame_raw(
             MAX_FRAME_LEN
         )));
     }
-    let word = (BASE_VERSION as u16) | ((flags as u16) << 8);
+    let word = (VERSION as u16) | ((flags as u16) << 8);
     let mut header = [0u8; 12];
     header[0..4].copy_from_slice(&MAGIC.to_le_bytes());
     header[4..6].copy_from_slice(&word.to_le_bytes());
@@ -242,61 +223,58 @@ pub fn write_frame_raw(
     Ok(())
 }
 
-/// [`write_frame`] with wire-level byte accounting: on success the
-/// payload + framing overhead is added to the meter's tx counters.
+/// [`encode_frame_lz`] straight onto a stream, with wire-level byte
+/// accounting: the meter counts the bytes that actually cross the wire
+/// (the compressed length when compression won), plus framing overhead.
 ///
 /// # Errors
 ///
 /// As [`write_frame`].
-pub fn write_frame_metered(
+pub fn write_frame_lz_metered(
     w: &mut impl Write,
     kind: FrameKind,
     payload: &[u8],
+    lz: bool,
     meter: &FrameMeter,
 ) -> RlResult<()> {
-    write_frame(w, kind, payload)?;
-    meter.count_tx(payload.len());
-    Ok(())
-}
-
-/// [`encode_frame_negotiated`] straight onto a stream, with wire-level
-/// byte accounting: the meter counts the bytes that actually cross the
-/// wire (the compressed length when compression won), plus framing
-/// overhead.
-///
-/// # Errors
-///
-/// As [`write_frame`].
-pub fn write_frame_negotiated_metered(
-    w: &mut impl Write,
-    kind: FrameKind,
-    payload: &[u8],
-    advertise: u8,
-    peer_caps: u8,
-    meter: &FrameMeter,
-) -> RlResult<()> {
-    let buf = encode_frame_negotiated(kind, payload, advertise, peer_caps)?;
+    let buf = encode_frame_lz(kind, payload, lz)?;
     w.write_all(&buf)?;
     w.flush()?;
     meter.count_tx(buf.len() - FRAME_OVERHEAD);
     Ok(())
 }
 
-/// [`read_frame`] with wire-level byte accounting: on success the
-/// payload + framing overhead is added to the meter's rx counters.
+/// One decoded frame plus its wire metadata.
+#[derive(Debug)]
+pub struct Frame {
+    /// Dispatch tag.
+    pub kind: FrameKind,
+    /// The payload, already decompressed when the frame was flagged.
+    pub payload: Vec<u8>,
+    /// Whether the sender set [`CAP_LZ`]: the reply to this frame may
+    /// be compressed.
+    pub lz_ok: bool,
+    /// Wire bytes of the payload as transmitted (the compressed size
+    /// for [`FLAG_COMPRESSED`] frames), for metering.
+    pub wire_len: usize,
+}
+
+/// Reads one frame, validating magic, version, length bound, and CRC.
 ///
 /// # Errors
 ///
-/// As [`read_frame`].
-pub fn read_frame_metered(r: &mut impl Read, meter: &FrameMeter) -> RlResult<(FrameKind, Vec<u8>)> {
-    let frame = read_frame_info(r)?;
-    meter.count_rx(frame.wire_len);
-    Ok((frame.kind, frame.payload))
+/// `RlError::Io` on transport failure (including read timeouts, which
+/// classify as retryable); [`RlError::Protocol`] on any header or
+/// checksum violation, or when a [`FLAG_COMPRESSED`] payload fails to
+/// decompress.
+pub fn read_frame(r: &mut impl Read) -> RlResult<(FrameKind, Vec<u8>)> {
+    read_frame_info(r).map(|f| (f.kind, f.payload))
 }
 
-/// [`read_frame_info`] with wire-level byte accounting: the meter counts
-/// the bytes that actually crossed the wire (the compressed length for
-/// [`FLAG_COMPRESSED`] frames), plus framing overhead.
+/// [`read_frame`] returning the full [`Frame`], with wire-level byte
+/// accounting: the meter counts the bytes that actually crossed the
+/// wire (the compressed length for [`FLAG_COMPRESSED`] frames), plus
+/// framing overhead.
 ///
 /// # Errors
 ///
@@ -307,42 +285,7 @@ pub fn read_frame_info_metered(r: &mut impl Read, meter: &FrameMeter) -> RlResul
     Ok(frame)
 }
 
-/// One decoded frame plus its wire metadata: the flags byte the peer
-/// sent (capability advertisement) and the payload length as it crossed
-/// the wire (compressed size for [`FLAG_COMPRESSED`] frames).
-#[derive(Debug)]
-pub struct Frame {
-    /// Dispatch tag.
-    pub kind: FrameKind,
-    /// The payload, already decompressed when the frame was flagged.
-    pub payload: Vec<u8>,
-    /// The peer's version-word flags (advertised capabilities; the
-    /// per-frame [`FLAG_COMPRESSED`] bit is cleared — decompression
-    /// already happened).
-    pub peer_caps: u8,
-    /// Wire bytes of the payload as transmitted, for metering.
-    pub wire_len: usize,
-}
-
-/// Reads one frame, validating magic, version, length bound, and CRC.
-///
-/// # Errors
-///
-/// `RlError::Io` on transport failure (including read timeouts, which
-/// classify as retryable); [`RlError::Protocol`] on any header or
-/// checksum violation.
-pub fn read_frame(r: &mut impl Read) -> RlResult<(FrameKind, Vec<u8>)> {
-    read_frame_info(r).map(|f| (f.kind, f.payload))
-}
-
-/// [`read_frame`] returning the full [`Frame`] — peers that negotiate
-/// capabilities read through this to learn what the sender advertised.
-///
-/// # Errors
-///
-/// As [`read_frame`]; additionally [`RlError::Protocol`] when a
-/// [`FLAG_COMPRESSED`] payload fails to decompress.
-pub fn read_frame_info(r: &mut impl Read) -> RlResult<Frame> {
+fn read_frame_info(r: &mut impl Read) -> RlResult<Frame> {
     let mut header = [0u8; 12];
     r.read_exact(&mut header)?;
     let magic = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
@@ -375,52 +318,38 @@ pub fn read_frame_info(r: &mut impl Read) -> RlResult<Frame> {
     if flags & FLAG_COMPRESSED != 0 {
         payload = compress::decompress(&payload, MAX_FRAME_LEN as usize)?;
     }
-    Ok(Frame { kind, payload, peer_caps: flags & !FLAG_COMPRESSED, wire_len })
+    Ok(Frame { kind, payload, lz_ok: flags & CAP_LZ != 0, wire_len })
 }
 
-/// Encodes one frame into a fresh buffer — the nonblocking stack's
-/// `write_frame`, producing bytes for a [`WriteQueue`](crate::conn::WriteQueue)
-/// instead of writing to a stream.
+/// Encodes one plain frame into a fresh buffer — the nonblocking
+/// stack's `write_frame`, producing bytes for a
+/// [`WriteQueue`](crate::conn::WriteQueue) instead of writing to a
+/// stream.
 ///
 /// # Errors
 ///
 /// [`RlError::Protocol`] if the payload exceeds [`MAX_FRAME_LEN`].
 pub fn encode_frame(kind: FrameKind, payload: &[u8]) -> RlResult<Vec<u8>> {
-    let mut out = Vec::with_capacity(payload.len() + FRAME_OVERHEAD);
-    write_frame(&mut out, kind, payload)?;
-    Ok(out)
+    encode_frame_lz(kind, payload, false)
 }
 
-/// Encodes one frame under the negotiation rules (module docs):
-/// `advertise` is stamped into the version word (zero produces a plain
-/// version-1 frame), and when `peer_caps` includes [`CAP_LZ`] a payload
-/// of at least [`COMPRESS_MIN_LEN`] bytes is LZ-compressed — kept only
-/// if actually smaller, with [`FLAG_COMPRESSED`] set.
+/// Encodes one frame; with `lz` set, [`CAP_LZ`] is stamped into the
+/// version word and a payload of at least [`COMPRESS_MIN_LEN`] bytes is
+/// LZ-compressed — kept only if actually smaller, with
+/// [`FLAG_COMPRESSED`] set. A client passes its own setting; a server
+/// passes the [`Frame::lz_ok`] of the request it is answering.
 ///
 /// # Errors
 ///
 /// [`RlError::Protocol`] if the payload exceeds [`MAX_FRAME_LEN`].
-pub fn encode_frame_negotiated(
-    kind: FrameKind,
-    payload: &[u8],
-    advertise: u8,
-    peer_caps: u8,
-) -> RlResult<Vec<u8>> {
-    // The limit applies to the *uncompressed* payload: receivers cap
-    // decompression at MAX_FRAME_LEN, so a compressed frame that
-    // inflates past it would be rejected on arrival anyway — fail
-    // typed here instead of burning CPU compressing a doomed payload.
-    if payload.len() > MAX_FRAME_LEN as usize {
-        return Err(RlError::Protocol(format!(
-            "frame payload of {} bytes exceeds the {} byte limit",
-            payload.len(),
-            MAX_FRAME_LEN
-        )));
-    }
-    let mut flags = advertise;
+pub fn encode_frame_lz(kind: FrameKind, payload: &[u8], lz: bool) -> RlResult<Vec<u8>> {
+    let mut flags = if lz { CAP_LZ } else { 0 };
     let mut wire: &[u8] = payload;
     let compressed;
-    if peer_caps & CAP_LZ != 0 && payload.len() >= COMPRESS_MIN_LEN {
+    // The length limit applies to the *uncompressed* payload (receivers
+    // cap decompression at MAX_FRAME_LEN), so a doomed payload skips
+    // the compressor and fails typed in `write_frame_flags` below.
+    if lz && (COMPRESS_MIN_LEN..=MAX_FRAME_LEN as usize).contains(&payload.len()) {
         compressed = compress::compress(payload);
         if compressed.len() < payload.len() {
             wire = &compressed;
@@ -428,7 +357,7 @@ pub fn encode_frame_negotiated(
         }
     }
     let mut out = Vec::with_capacity(wire.len() + FRAME_OVERHEAD);
-    write_frame_raw(&mut out, kind, wire, flags)?;
+    write_frame_flags(&mut out, kind, wire, flags)?;
     Ok(out)
 }
 
@@ -447,7 +376,6 @@ pub struct FrameDecoder {
     buf: Vec<u8>,
     pos: usize,
     poisoned: Option<String>,
-    peer_caps: u8,
 }
 
 impl FrameDecoder {
@@ -464,13 +392,6 @@ impl FrameDecoder {
     /// Bytes buffered but not yet consumed as frames.
     pub fn buffered(&self) -> usize {
         self.buf.len() - self.pos
-    }
-
-    /// The capability bits the peer advertised on its most recent frame
-    /// (zero until a flagged frame arrives — a strict version-1 peer
-    /// stays at zero forever).
-    pub fn peer_caps(&self) -> u8 {
-        self.peer_caps
     }
 
     fn poison(&mut self, msg: String) -> RlError {
@@ -552,8 +473,7 @@ impl FrameDecoder {
         }
         self.pos += total;
         self.compact();
-        self.peer_caps = flags & !FLAG_COMPRESSED;
-        Ok(Some(Frame { kind, payload, peer_caps: self.peer_caps, wire_len }))
+        Ok(Some(Frame { kind, payload, lz_ok: flags & CAP_LZ != 0, wire_len }))
     }
 
     /// Reclaims consumed prefix bytes once they dominate the buffer, so
@@ -604,11 +524,11 @@ mod tests {
         let rec = rlgraph_obs::Recorder::wall();
         let meter = FrameMeter::for_service(&rec, "shard-0");
         let mut buf = Vec::new();
-        write_frame_metered(&mut buf, FrameKind::Request, b"12345", &meter).unwrap();
+        write_frame_lz_metered(&mut buf, FrameKind::Request, b"12345", false, &meter).unwrap();
         let expected = (5 + FRAME_OVERHEAD) as u64;
         assert_eq!(rec.counter("net.bytes_tx").value(), expected);
         assert_eq!(rec.counter("net.svc.shard-0.bytes_tx").value(), expected);
-        read_frame_metered(&mut buf.as_slice(), &meter).unwrap();
+        read_frame_info_metered(&mut buf.as_slice(), &meter).unwrap();
         assert_eq!(rec.counter("net.bytes_rx").value(), expected);
         assert_eq!(rec.counter("net.svc.shard-0.bytes_rx").value(), expected);
     }
@@ -624,7 +544,7 @@ mod tests {
     #[test]
     fn wrong_version_rejected() {
         let mut bytes = frame_bytes(FrameKind::Request, b"x");
-        bytes[4] = VERSION as u8 + 1;
+        bytes[4] = VERSION + 1;
         let err = read_frame(&mut bytes.as_slice()).unwrap_err();
         assert!(matches!(err, RlError::Protocol(ref m) if m.contains("version")), "{}", err);
     }
@@ -692,38 +612,35 @@ mod tests {
     }
 
     #[test]
-    fn negotiated_frame_compresses_and_roundtrips() {
+    fn lz_frame_compresses_and_roundtrips() {
         let payload = vec![42u8; 4096];
-        let frame =
-            encode_frame_negotiated(FrameKind::Request, &payload, LOCAL_CAPS, CAP_LZ).unwrap();
+        let frame = encode_frame_lz(FrameKind::Request, &payload, true).unwrap();
         assert!(frame.len() < payload.len() / 4, "compressible payload stayed large");
         let info = read_frame_info(&mut frame.as_slice()).unwrap();
         assert_eq!(info.kind, FrameKind::Request);
         assert_eq!(info.payload, payload);
-        assert_eq!(info.peer_caps, LOCAL_CAPS);
+        assert!(info.lz_ok);
         assert_eq!(info.wire_len, frame.len() - FRAME_OVERHEAD);
-        // The incremental decoder agrees and learns the peer's caps.
+        // The incremental decoder agrees.
         let mut dec = FrameDecoder::new();
-        assert_eq!(dec.peer_caps(), 0);
         dec.feed(&frame);
         let inc = dec.next_info().unwrap().unwrap();
         assert_eq!(inc.payload, payload);
-        assert_eq!(dec.peer_caps(), LOCAL_CAPS);
+        assert!(inc.lz_ok);
     }
 
     #[test]
-    fn negotiation_without_peer_caps_stays_plain_v1() {
+    fn without_lz_the_frame_is_plain() {
         let payload = vec![42u8; 4096];
-        let frame = encode_frame_negotiated(FrameKind::Request, &payload, 0, 0).unwrap();
-        let plain = frame_bytes(FrameKind::Request, &payload);
-        assert_eq!(frame, plain, "no caps advertised and none known must be byte-identical v1");
+        let frame = encode_frame_lz(FrameKind::Request, &payload, false).unwrap();
+        assert_eq!(frame, frame_bytes(FrameKind::Request, &payload));
+        assert!(!read_frame_info(&mut frame.as_slice()).unwrap().lz_ok);
     }
 
     #[test]
     fn small_payloads_skip_compression() {
         let payload = vec![7u8; 64];
-        let frame =
-            encode_frame_negotiated(FrameKind::Request, &payload, LOCAL_CAPS, CAP_LZ).unwrap();
+        let frame = encode_frame_lz(FrameKind::Request, &payload, true).unwrap();
         let info = read_frame_info(&mut frame.as_slice()).unwrap();
         assert_eq!(info.wire_len, payload.len(), "below COMPRESS_MIN_LEN must not compress");
         assert_eq!(info.payload, payload);
@@ -732,7 +649,7 @@ mod tests {
     #[test]
     fn unknown_wire_flags_rejected_typed() {
         let mut bytes = frame_bytes(FrameKind::Request, b"x");
-        bytes[5] = 0x80; // an undefined capability bit
+        bytes[5] = 0x80; // an undefined flag bit
         let err = read_frame(&mut bytes.as_slice()).unwrap_err();
         assert!(matches!(err, RlError::Protocol(ref m) if m.contains("wire flags")), "{}", err);
     }
@@ -740,8 +657,7 @@ mod tests {
     #[test]
     fn corrupt_compressed_payload_poisons_decoder() {
         let payload = vec![9u8; 2048];
-        let mut frame =
-            encode_frame_negotiated(FrameKind::Request, &payload, LOCAL_CAPS, CAP_LZ).unwrap();
+        let mut frame = encode_frame_lz(FrameKind::Request, &payload, true).unwrap();
         // Corrupt the compressed body *and* fix up the CRC so only the
         // decompressor can notice.
         let wire_len = frame.len() - FRAME_OVERHEAD;

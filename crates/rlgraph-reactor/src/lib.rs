@@ -26,7 +26,7 @@
 //!   partial-write-safe [`WriteQueue`] the state
 //!   machines are built from.
 //! * [`mod@compress`] — the LZ77-style byte compressor frames opt into
-//!   per-payload (DESIGN.md §14): greedy hash-chain matcher, bounded
+//!   per payload (DESIGN.md §14): greedy hash-chain matcher, bounded
 //!   window, raw passthrough for incompressible data.
 //! * [`codec`] — the wire forms of [`TraceContext`](rlgraph_obs::TraceContext)
 //!   and the [`RlError`](rlgraph_core::RlError) taxonomy, so telemetry
@@ -40,9 +40,10 @@
 //!   and [`MuxClient`] (shareable, callback-based,
 //!   per-request deadlines, transparent reconnect).
 //!
-//! The mux protocol is wire-compatible with the blocking RPC stack:
-//! request/response frames carry the same `[req_id][method][body]` /
-//! `[req_id][status][body|error]` payloads, so a blocking
+//! The mux protocol is the blocking RPC stack's protocol — one frame
+//! format, one version word (checked, never negotiated: every peer is
+//! this build), the same `[req_id][method][body]` /
+//! `[req_id][status][body|error]` payloads — so a blocking
 //! `RpcClient` can talk to a [`MuxServer`] and a
 //! [`MuxClient`] can talk to a blocking server (one
 //! request at a time). What changes is concurrency: the mux peers keep
@@ -65,9 +66,8 @@ pub mod wire;
 pub use compress::{compress, decompress, LzEncoder, COMPRESS_OVERHEAD};
 pub use conn::WriteQueue;
 pub use frame::{
-    encode_frame_negotiated, read_frame, read_frame_info, write_frame, Frame, FrameDecoder,
-    FrameKind, CAP_CODEC_V2, CAP_LZ, COMPRESS_MIN_LEN, FLAG_COMPRESSED, FRAME_OVERHEAD, LOCAL_CAPS,
-    MAGIC, MAX_FRAME_LEN, VERSION,
+    encode_frame_lz, read_frame, write_frame, Frame, FrameDecoder, FrameKind, CAP_LZ,
+    COMPRESS_MIN_LEN, FLAG_COMPRESSED, FRAME_OVERHEAD, MAGIC, MAX_FRAME_LEN, VERSION,
 };
 pub use mux::{MuxClient, MuxClientConfig, MuxServer, MuxServerConfig, ReplyHandle};
 pub use poll::{Event, Interest, Poller, Token, Waker};

@@ -1,7 +1,7 @@
 //! Multiplexed RPC over the reactor: many in-flight request ids per
 //! connection, completed in whatever order the handlers finish.
 //!
-//! The wire format is byte-identical to `rlgraph-net`'s blocking RPC —
+//! The wire format is the one `rlgraph-net`'s blocking RPC speaks —
 //! [`FrameKind::Request`]`[req_id u64][method u16][body…]` /
 //! [`FrameKind::Response`]`[req_id u64][status u8][body… | error…]`,
 //! with [`FrameKind::RequestTraced`] prefixing a trace context — so the
@@ -9,7 +9,9 @@
 //! flight) talks to a [`MuxServer`], a [`MuxClient`] talks to a
 //! blocking server. The mux peers add [`FrameKind::Ping`]/[`FrameKind::Pong`]
 //! heartbeats, which are therefore **opt-in** on the client (a blocking
-//! server treats an unknown kind as a protocol violation).
+//! server closes on a ping instead of answering it). Every request
+//! carries the LZ hint (`frame.rs`); a reply is compressed iff the
+//! request it answers carried it.
 //!
 //! # Server
 //!
@@ -38,9 +40,7 @@
 
 use crate::codec::{get_rl_error, get_trace_context, put_rl_error, put_trace_context};
 use crate::conn::WriteQueue;
-use crate::frame::{
-    encode_frame, encode_frame_negotiated, FrameDecoder, FrameKind, FrameMeter, LOCAL_CAPS,
-};
+use crate::frame::{encode_frame, encode_frame_lz, FrameDecoder, FrameKind, FrameMeter};
 use crate::poll::{Interest, Poller, Token, Waker};
 use crate::service::RpcService;
 use crate::timer::{TimerKey, TimerWheel};
@@ -127,9 +127,9 @@ struct Job {
     method: u16,
     body: Vec<u8>,
     ctx: Option<TraceContext>,
-    /// Capabilities the connection's client has advertised, so the
-    /// handler can compress (and advertise on) the response.
-    caps: u8,
+    /// Whether the request carried the LZ hint: the response may be
+    /// compressed.
+    lz: bool,
 }
 
 /// An encoded response frame travelling back to the event loop.
@@ -156,10 +156,6 @@ struct SrvConn {
     /// with the decoder's backlog this is the inbound pressure gated by
     /// `max_inflight_bytes`.
     inflight_bytes: usize,
-    /// Capability bits the peer has advertised, latched high across the
-    /// connection (a plain pong between flagged requests must not make
-    /// the server forget the client decodes compressed frames).
-    peer_caps: u8,
 }
 
 /// An epoll-driven RPC server: one event-loop thread multiplexing every
@@ -328,16 +324,7 @@ fn handler_loop(
                 put_rl_error(&mut resp, &e);
             }
         }
-        // Advertise only to clients that advertised first, and compress
-        // only when the client said it can decode it — a version-1
-        // client keeps getting byte-identical version-1 responses.
-        let advertise = if job.caps != 0 { LOCAL_CAPS } else { 0 };
-        let frame = match encode_frame_negotiated(
-            FrameKind::Response,
-            &resp.into_bytes(),
-            advertise,
-            job.caps,
-        ) {
+        let frame = match encode_frame_lz(FrameKind::Response, &resp.into_bytes(), job.lz) {
             Ok(frame) => frame,
             // Response exceeds MAX_FRAME_LEN: the completion must still
             // flow back — it balances the connection's inflight
@@ -449,7 +436,6 @@ fn server_loop(
                                 last_activity: now,
                                 inflight: 0,
                                 inflight_bytes: 0,
-                                peer_caps: 0,
                             });
                             open += 1;
                             conns_counter.inc();
@@ -615,9 +601,8 @@ fn read_and_dispatch(
             Ok(None) => break,
             Err(_) => return true, // stream is untrusted: close
             Ok(Some(frame)) => {
-                let (kind, payload) = (frame.kind, frame.payload);
+                let (kind, payload, lz) = (frame.kind, frame.payload, frame.lz_ok);
                 conn.last_activity = now;
-                conn.peer_caps |= frame.peer_caps;
                 meter.count_rx(frame.wire_len);
                 match kind {
                     FrameKind::Ping => {
@@ -653,7 +638,7 @@ fn read_and_dispatch(
                             method,
                             body: body.to_vec(),
                             ctx,
-                            caps: conn.peer_caps,
+                            lz,
                         };
                         if job_tx.send(job).is_err() {
                             return true; // pool gone: shutting down
@@ -717,8 +702,7 @@ pub struct MuxClientConfig {
     /// Ping the server at this interval; a ping the server never
     /// answers before the next interval severs the connection. `None`
     /// (the default) disables heartbeats — required when the peer is a
-    /// blocking server, which rejects ping frames as protocol
-    /// violations.
+    /// blocking server, which closes on a ping instead of answering it.
     pub heartbeat: Option<Duration>,
     /// Method-id → name table labelling per-method latency histograms
     /// (`net.rpc.<name>.us`) and client spans.
@@ -954,12 +938,6 @@ struct ClientConn {
     decoder: FrameDecoder,
     wq: WriteQueue,
     interest: Interest,
-    /// Capability bits the server has advertised, latched high.
-    peer_caps: u8,
-    /// Whether any frame ever arrived on this connection — separates an
-    /// old server rejecting our capability flags (closes before
-    /// answering anything) from a later network failure.
-    got_frame: bool,
 }
 
 impl ClientConn {
@@ -969,8 +947,6 @@ impl ClientConn {
             decoder: FrameDecoder::new(),
             wq: WriteQueue::new(),
             interest: Interest::READABLE,
-            peer_caps: 0,
-            got_frame: false,
         }
     }
 }
@@ -1010,9 +986,6 @@ fn client_loop(
         Ok(()) => Some(ClientConn::new(initial)),
         Err(_) => None,
     };
-    // Probe with full capabilities; dropped to zero permanently when a
-    // version-1 server kills a connection before answering anything.
-    let mut advertise: u8 = LOCAL_CAPS;
     if let Some(hb) = config.heartbeat {
         wheel.schedule(Instant::now(), hb, ClientTimer::Heartbeat);
     }
@@ -1082,8 +1055,6 @@ fn client_loop(
                         Ok(Some(frame)) => {
                             let (kind, payload) = (frame.kind, frame.payload);
                             awaiting_pong = false;
-                            c.got_frame = true;
-                            c.peer_caps |= frame.peer_caps;
                             meter.count_rx(frame.wire_len);
                             match kind {
                                 FrameKind::Pong => {}
@@ -1119,9 +1090,7 @@ fn client_loop(
         }
 
         if sever {
-            if do_sever(&mut conn, &mut pending, &mut wheel, &poller, &peer, &rpc_us) {
-                advertise = 0;
-            }
+            do_sever(&mut conn, &mut pending, &mut wheel, &poller, &peer, &rpc_us);
             awaiting_pong = false;
             sever = false;
         }
@@ -1164,7 +1133,7 @@ fn client_loop(
             payload.put_u16(s.method);
             payload.put_bytes(&s.body);
             let payload = payload.into_bytes();
-            match encode_frame_negotiated(kind, &payload, advertise, c.peer_caps) {
+            match encode_frame_lz(kind, &payload, true) {
                 Ok(frame) => {
                     // Meter the bytes that actually cross the wire (the
                     // compressed length when compression won).
@@ -1190,9 +1159,7 @@ fn client_loop(
         }
         if let Some(c) = conn.as_mut() {
             if !c.wq.is_empty() && !pump_client_writes(c, &poller) {
-                if do_sever(&mut conn, &mut pending, &mut wheel, &poller, &peer, &rpc_us) {
-                    advertise = 0;
-                }
+                do_sever(&mut conn, &mut pending, &mut wheel, &poller, &peer, &rpc_us);
                 awaiting_pong = false;
             }
         }
@@ -1219,7 +1186,7 @@ fn client_loop(
                         // interval: the connection is dead.
                         sever = true;
                     } else if let Some(c) = conn.as_mut() {
-                        if let Ok(f) = encode_frame_negotiated(FrameKind::Ping, &[], advertise, 0) {
+                        if let Ok(f) = encode_frame(FrameKind::Ping, &[]) {
                             c.wq.push(f);
                             awaiting_pong = true;
                             if !pump_client_writes(c, &poller) {
@@ -1234,9 +1201,7 @@ fn client_loop(
             }
         }
         if sever {
-            if do_sever(&mut conn, &mut pending, &mut wheel, &poller, &peer, &rpc_us) {
-                advertise = 0;
-            }
+            do_sever(&mut conn, &mut pending, &mut wheel, &poller, &peer, &rpc_us);
             awaiting_pong = false;
         }
     }
@@ -1279,11 +1244,6 @@ fn pump_client_writes(c: &mut ClientConn, poller: &Poller) -> bool {
 /// Tears down the connection: every pending request fails with the
 /// retryable "connection died" class the blocking client uses, and the
 /// next submission reconnects.
-///
-/// Returns `true` when the severed connection never produced a single
-/// frame — against a live server that means our capability flags were
-/// rejected (a version-1 peer closes flagged connections unanswered),
-/// so the caller downgrades to plain version-1 framing.
 fn do_sever(
     conn: &mut Option<ClientConn>,
     pending: &mut HashMap<u64, PendingCall>,
@@ -1291,10 +1251,8 @@ fn do_sever(
     poller: &Poller,
     peer: &str,
     rpc_us: &rlgraph_obs::Histogram,
-) -> bool {
-    let mut unanswered = false;
+) {
     if let Some(c) = conn.take() {
-        unanswered = !c.got_frame;
         poller.delete(c.stream.as_raw_fd());
     }
     for (_, p) in pending.drain() {
@@ -1307,7 +1265,6 @@ fn do_sever(
             message: format!("{} went away mid-request", peer),
         }));
     }
-    unanswered
 }
 
 #[cfg(test)]
@@ -1326,7 +1283,7 @@ mod tests {
 
     #[test]
     fn defaults_are_interop_safe() {
-        // Heartbeats default off: a blocking server rejects ping frames.
+        // Heartbeats default off: a blocking server closes on a ping.
         assert!(MuxClientConfig::default().heartbeat.is_none());
         assert!(MuxServerConfig::default().handler_threads >= 1);
     }

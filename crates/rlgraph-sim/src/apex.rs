@@ -1,8 +1,7 @@
 //! Discrete-event simulation of the Ape-X coordination loop.
 
+use crate::sim::EventQueue;
 use rlgraph_obs::{seconds_to_micros, Recorder, VirtualTime};
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// Measured per-task costs and topology of an Ape-X deployment.
 #[derive(Debug, Clone)]
@@ -76,31 +75,6 @@ enum LearnerPhase {
     Trained,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Scheduled {
-    time: f64,
-    seq: u64,
-    event: Event,
-}
-
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl Eq for Scheduled {}
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // reversed for a min-heap
-        other.time.total_cmp(&self.time).then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
 /// Runs the discrete-event Ape-X model.
 ///
 /// Mechanics: each worker cyclically spends `task_time` collecting, then
@@ -140,12 +114,7 @@ pub fn simulate_apex_traced(
         (0..params.num_shards).map(|s| recorder.track(&format!("shard-{s}"))).collect();
     let learner_track = recorder.track("learner");
     let us = seconds_to_micros;
-    let mut heap: BinaryHeap<Scheduled> = BinaryHeap::new();
-    let mut seq = 0u64;
-    let mut push = |heap: &mut BinaryHeap<Scheduled>, time: f64, event: Event| {
-        heap.push(Scheduled { time, seq, event });
-        seq += 1;
-    };
+    let mut queue: EventQueue<Event> = EventQueue::new();
 
     let mut shard_free = vec![0.0f64; params.num_shards];
     let mut shard_rr = 0usize;
@@ -159,10 +128,10 @@ pub fn simulate_apex_traced(
     for w in 0..params.num_workers {
         // small stagger so the first wave does not collide artificially
         let jitter = params.task_time * (w as f64 / params.num_workers as f64) * 0.1;
-        push(&mut heap, params.task_time + jitter, Event::WorkerDone(w));
+        queue.push(params.task_time + jitter, Event::WorkerDone(w));
     }
 
-    while let Some(Scheduled { time, event, .. }) = heap.pop() {
+    while let Some((time, event)) = queue.pop() {
         if time > params.duration {
             break;
         }
@@ -198,7 +167,7 @@ pub fn simulate_apex_traced(
                     }
                     recorder.sample_at(learner_track, "frames_total", us(time), frames);
                 }
-                push(&mut heap, resume + params.task_time, Event::WorkerDone(w));
+                queue.push(resume + params.task_time, Event::WorkerDone(w));
                 if params.learner_enabled && !learner_started && tasks_done >= 1 {
                     learner_started = true;
                     // first sample request
@@ -209,7 +178,7 @@ pub fn simulate_apex_traced(
                     if traced {
                         recorder.complete(shard_tracks[s], "sample", us(start), us(shard_free[s]));
                     }
-                    push(&mut heap, shard_free[s], Event::LearnerDone(LearnerPhase::Sampled));
+                    queue.push(shard_free[s], Event::LearnerDone(LearnerPhase::Sampled));
                 }
             }
             Event::LearnerDone(LearnerPhase::Sampled) => {
@@ -221,11 +190,7 @@ pub fn simulate_apex_traced(
                         us(time + params.train_time),
                     );
                 }
-                push(
-                    &mut heap,
-                    time + params.train_time,
-                    Event::LearnerDone(LearnerPhase::Trained),
-                );
+                queue.push(time + params.train_time, Event::LearnerDone(LearnerPhase::Trained));
             }
             Event::LearnerDone(LearnerPhase::Trained) => {
                 updates += 1;
@@ -247,7 +212,7 @@ pub fn simulate_apex_traced(
                     recorder.complete(shard_tracks[s], "sample", us(start), us(shard_free[s]));
                     recorder.sample_at(learner_track, "updates", us(time), updates as f64);
                 }
-                push(&mut heap, shard_free[s], Event::LearnerDone(LearnerPhase::Sampled));
+                queue.push(shard_free[s], Event::LearnerDone(LearnerPhase::Sampled));
             }
         }
     }

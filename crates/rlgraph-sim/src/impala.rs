@@ -1,8 +1,7 @@
 //! Discrete-event simulation of the IMPALA actor–queue–learner pipeline.
 
+use crate::sim::EventQueue;
 use rlgraph_obs::{seconds_to_micros, Recorder, VirtualTime};
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::collections::VecDeque;
 
 /// Measured costs and topology of an IMPALA deployment.
@@ -53,30 +52,6 @@ enum Event {
     LearnerDone,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Scheduled {
-    time: f64,
-    seq: u64,
-    event: Event,
-}
-
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl Eq for Scheduled {}
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other.time.total_cmp(&self.time).then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
 /// Runs the discrete-event IMPALA model: actors produce rollouts into a
 /// bounded blocking queue; the learner consumes one rollout per step.
 /// Throughput grows with actors until `1 / train_time` updates saturate —
@@ -108,12 +83,7 @@ pub fn simulate_impala_traced(
     let learner_track = recorder.track("learner");
     let queue_track = recorder.track("queue");
     let us = seconds_to_micros;
-    let mut heap: BinaryHeap<Scheduled> = BinaryHeap::new();
-    let mut seq = 0u64;
-    let mut push = |heap: &mut BinaryHeap<Scheduled>, time: f64, event: Event| {
-        heap.push(Scheduled { time, seq, event });
-        seq += 1;
-    };
+    let mut queue: EventQueue<Event> = EventQueue::new();
 
     let mut queued = 0usize;
     let mut waiting: VecDeque<(usize, f64)> = VecDeque::new(); // blocked actors
@@ -123,10 +93,10 @@ pub fn simulate_impala_traced(
 
     for a in 0..params.num_actors {
         let jitter = params.rollout_time * (a as f64 / params.num_actors as f64) * 0.1;
-        push(&mut heap, params.rollout_time + jitter, Event::ActorDone(a));
+        queue.push(params.rollout_time + jitter, Event::ActorDone(a));
     }
 
-    while let Some(Scheduled { time, event, .. }) = heap.pop() {
+    while let Some((time, event)) = queue.pop() {
         if time > params.duration {
             break;
         }
@@ -145,11 +115,11 @@ pub fn simulate_impala_traced(
                 }
                 if queued < params.queue_capacity {
                     queued += 1;
-                    push(&mut heap, time + params.rollout_time, Event::ActorDone(a));
+                    queue.push(time + params.rollout_time, Event::ActorDone(a));
                     if !learner_busy {
                         learner_busy = true;
                         queued -= 1;
-                        push(&mut heap, time + params.train_time, Event::LearnerDone);
+                        queue.push(time + params.train_time, Event::LearnerDone);
                     }
                 } else {
                     waiting.push_back((a, time));
@@ -172,11 +142,11 @@ pub fn simulate_impala_traced(
                         recorder.complete(actor_tracks[a], "blocked", us(since), us(time));
                     }
                     queued += 1;
-                    push(&mut heap, time + params.rollout_time, Event::ActorDone(a));
+                    queue.push(time + params.rollout_time, Event::ActorDone(a));
                 }
                 if queued > 0 {
                     queued -= 1;
-                    push(&mut heap, time + params.train_time, Event::LearnerDone);
+                    queue.push(time + params.train_time, Event::LearnerDone);
                 } else {
                     learner_busy = false;
                 }

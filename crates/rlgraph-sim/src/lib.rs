@@ -11,18 +11,15 @@
 //! shard/learner saturation), not from assumed numbers. See DESIGN.md §2.
 //!
 //! * [`apex::simulate_apex`] — workers → replay shards → learner loop.
-//! * [`chaos::simulate_apex_chaos`] — the Ape-X model under a seeded
-//!   fault schedule (worker crashes, shard stalls).
 //! * [`impala::simulate_impala`] — actors → bounded queue → learner.
 //! * [`clock::VirtualClock`] — virtual-time accounting for learning-curve
 //!   experiments (Figs. 7b and 8).
 
 pub mod apex;
-pub mod chaos;
 pub mod clock;
 pub mod impala;
+mod sim;
 
 pub use apex::{simulate_apex, simulate_apex_traced, ApexSimParams, ApexSimResult};
-pub use chaos::{simulate_apex_chaos, ChaosSimParams, ChaosSimResult};
 pub use clock::VirtualClock;
 pub use impala::{simulate_impala, simulate_impala_traced, ImpalaSimParams, ImpalaSimResult};

@@ -20,7 +20,10 @@ if ! cargo metadata --format-version 1 >/dev/null 2>&1; then
 fi
 
 cargo "${CONFIG[@]}" build --release "${OFFLINE[@]}"
-cargo "${CONFIG[@]}" test -q "${OFFLINE[@]}" --workspace --no-fail-fast
+# The suite includes the socket tests (transport_interop, mux_loopback,
+# net_runtime, elastic_cluster): a wedged one must fail the gate, not
+# hang it. ~4 min warm on the one-core box; the ceiling is generous.
+timeout 1800 cargo "${CONFIG[@]}" test -q "${OFFLINE[@]}" --workspace --no-fail-fast
 
 # Exercise the serving path end to end (batched act + hot weight swap).
 cargo "${CONFIG[@]}" run --release "${OFFLINE[@]}" --example serve_smoke
@@ -33,9 +36,10 @@ cargo "${CONFIG[@]}" run --release "${OFFLINE[@]}" -p bench --bin kernel_bench -
 cargo "${CONFIG[@]}" run --release "${OFFLINE[@]}" -p bench --bin chaos_bench -- --smoke
 
 # Network transport: multi-process Ape-X over loopback TCP (the example
-# launches 2 real worker processes), then the net bench smoke covering
-# process launch + RPC + wire codec + TCP serving. Socket tests that
-# wedge must fail the gate fast, so both run under a hard timeout.
+# launches 2 real worker processes), then the net bench smoke: process
+# launch + RPC under the compressed profile (LZ frames, quantized and
+# delta encodings) + TCP serving. Socket runs that wedge must fail the
+# gate fast, so both run under a hard timeout.
 timeout 300 cargo "${CONFIG[@]}" run --release "${OFFLINE[@]}" --example net_apex
 timeout 300 cargo "${CONFIG[@]}" run --release "${OFFLINE[@]}" -p bench --bin net_bench -- --smoke
 

@@ -1,7 +1,10 @@
 //! The second generation of the distributed layer — the hand-woven
 //! drivers, the metric aliases that fanned `frag.<stage>.*` out to their
-//! names — is retired. This fails if an identifier of it comes back in
-//! any source file under `crates/*/src`, `examples/` or `tests/`.
+//! names — is retired, and so is the wire's capability negotiation (the
+//! downgrade latches for peers older than this build, of which there are
+//! none) with the simulator's private chaos model. This fails if an
+//! identifier of either comes back in any source file under
+//! `crates/*/src`, `examples/` or `tests/`.
 
 use std::path::{Path, PathBuf};
 
@@ -19,7 +22,21 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
 #[test]
 fn retired_identifiers_stay_retired() {
     // spelled in halves so this file passes its own check
-    let retired = [["_leg", "acy"], ["_ali", "ased"], ["legacy", "_alias"]].map(|h| h.concat());
+    let retired = [
+        ["_leg", "acy"],
+        ["_ali", "ased"],
+        ["legacy", "_alias"],
+        ["set_plain", "_wire"],
+        ["CAP_CODEC", "_V2"],
+        ["LOCAL", "_CAPS"],
+        ["caps_", "confirmed"],
+        ["probe_", "rejected"],
+        ["v2", "_ok"],
+        ["get_weights", "_v1"],
+        ["encode_frame_", "negotiated"],
+        ["simulate_apex", "_chaos"],
+    ]
+    .map(|h| h.concat());
 
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut files = Vec::new();
