@@ -69,11 +69,6 @@ pub fn impala_sim_chrome_trace(params: &rlgraph_sim::ImpalaSimParams) -> String 
     rlgraph_obs::chrome_trace(&rec)
 }
 
-/// Standard GridPong throughput environment (pixels, 16×16).
-pub fn pong_pixels(seed: u64) -> rlgraph_envs::GridPong {
-    rlgraph_envs::GridPong::new(rlgraph_envs::GridPongConfig { seed, ..Default::default() })
-}
-
 /// The small convolutional policy used by the act-throughput benchmarks
 /// (3 conv layers + dueling head, the paper's Fig. 5b architecture scaled
 /// to the GridPong raster).

@@ -362,6 +362,10 @@ mod tests {
         let x = Tensor::from_vec(vec![1.0, 2.0], &[1, 2]).unwrap();
         let out = crate::executor::GraphExecutor::execute(&mut exec, "forward", &[x]).unwrap();
         assert_eq!(out[0].as_f32().unwrap(), &[6.0, 12.0]);
+        // the call structure comes from assembly; the context that serves
+        // requests must not keep a node per call (it lives as long as the agent)
+        assert!(exec.ctx().meta().calls().is_empty());
+        assert_eq!(crate::executor::GraphExecutor::meta(&exec).calls().len(), 4);
     }
 
     #[test]

@@ -744,7 +744,11 @@ impl BuildCtx {
     ) -> Result<Vec<OpRef>> {
         self.api_calls += 1;
         let name = self.store.name(comp);
-        self.meta.record_api_call(comp, &name, method, self.scope_path());
+        // the call structure is what assembly produces; a define-by-run
+        // context lives on and would append a node per call for ever
+        if self.mode == Mode::Assemble {
+            self.meta.record_api_call(comp, &name, method, self.scope_path());
+        }
         let mut component = self.store.take(comp)?;
         self.scope_stack.push(name);
         let device = self.device_map.device_for(&self.scope_path());
@@ -792,8 +796,8 @@ impl BuildCtx {
         F: FnOnce(&mut BuildCtx, &[OpRef]) -> Result<Vec<OpRef>>,
     {
         self.graph_fn_calls += 1;
-        self.meta.record_graph_fn(comp, name, self.scope_path());
         if self.mode == Mode::Assemble {
+            self.meta.record_graph_fn(comp, name, self.scope_path());
             return Ok((0..n_outputs).map(|_| self.symbolic()).collect());
         }
         if let Some(graph) = self.graph.as_mut() {

@@ -486,8 +486,11 @@ impl GraphExecutor for DbrExecutor {
         self.obs_fn_calls = recorder.counter("dbr.graph_fn_calls");
         self.obs_replays = recorder.counter("dbr.contracted_replays");
         // Eager define-by-run execution calls tensor kernels directly
-        // (no Session in the path), so install the kernel metrics sink here.
-        rlgraph_tensor::kernels::observe::install_recorder(&recorder);
+        // (no Session in the path), so install the kernel metrics sink
+        // here; a disabled recorder leaves another graph's sink alone.
+        if recorder.is_enabled() {
+            rlgraph_tensor::kernels::observe::install_recorder(&recorder);
+        }
         self.recorder = recorder;
     }
 

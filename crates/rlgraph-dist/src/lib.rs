@@ -1,20 +1,29 @@
 //! Distributed execution for rlgraph (paper §4.1, Fig. 4).
 //!
-//! Two coordination styles, mirroring the paper's:
+//! Every driver is a declaration over one executor pair (DESIGN.md §15):
 //!
-//! * [`ray`] — centralized control on an actor model: a coordinator spawns
-//!   worker actors (each holding a local rlgraph agent and a vector of
-//!   environments), replay-shard actors, and a learner loop — the
-//!   `RayExecutor` of the paper's Ape-X evaluation (Figs. 6, 7).
-//! * [`impala_driver`] — non-centralized, parameter-server style: actors
-//!   and learner are independent threads communicating only through a
-//!   shared in-graph queue and weight snapshots, the distributed-TF
-//!   analogue used for Fig. 9.
+//! * [`fragment`] — a logical [`FragmentGraph`] of typed stages (rollout,
+//!   replay, learn, broadcast, eval) joined by bounded edges, a physical
+//!   [`PlacementMap`], and the two runtimes that execute them: the
+//!   threaded [`FragmentExecutor`] (supervised actor threads, crossbeam
+//!   edges) and the deterministic virtual-time `SteppedExecutor`.
+//! * [`ray`] and [`impala_driver`] — the Ape-X (paper §5.1, Figs. 6/7)
+//!   and IMPALA (Fig. 9) configs, builders and stats; [`run_apex`] and
+//!   [`run_impala`] are [`run_apex_fragments`] / [`run_impala_fragments`]
+//!   under the default placement.
+//! * [`chaos`] — [`run_apex_chaos`]: Ape-X on the stepped executor under
+//!   a seeded [`FaultPlan`], bit-identical for the same seed.
+//! * [`driver`] — the one builder vocabulary ([`DriverConfigBuilder`],
+//!   [`RunBudget`]) all of them share, `rlgraph-net`'s multi-process
+//!   `run_apex_net` included.
+//! * [`shard`], [`sync`], [`supervisor`], [`retry`], [`checkpoint`],
+//!   [`cluster`] — what the stages are made of: replay shards, the
+//!   versioned [`WeightHub`], actor supervision, retry policies, learner
+//!   checkpoints, and elastic membership (hash ring, autoscaler).
 //!
-//! Both run on OS threads with crossbeam channels standing in for Ray RPC
-//! / gRPC; at paper scale (hundreds of workers) throughput is measured on
-//! the calibrated discrete-event simulator in `rlgraph-sim` instead (see
-//! DESIGN.md).
+//! These run on OS threads in one process; at paper scale (hundreds of
+//! workers) throughput is measured on the calibrated discrete-event
+//! simulator in `rlgraph-sim` instead (see DESIGN.md §2).
 
 pub mod chaos;
 pub mod checkpoint;

@@ -111,14 +111,17 @@ impl Session {
     /// per-op/per-device self-times. With the default disabled recorder,
     /// timing is skipped entirely.
     ///
-    /// Also installs the recorder as the process-wide kernel-engine metrics
-    /// sink (`kernel.gemm.*`, `kernel.conv2d.*`, `kernel.pool.*` — see
-    /// `rlgraph_tensor::kernels::observe`), so tensor kernels executed on
-    /// behalf of this session report op counts, flops/bytes, and pool
-    /// queue depth through the same recorder.
+    /// An enabled recorder also becomes the process-wide kernel-engine
+    /// metrics sink (`kernel.gemm.*`, `kernel.conv2d.*`, `kernel.pool.*` —
+    /// see `rlgraph_tensor::kernels::observe`), so tensor kernels executed
+    /// on behalf of this session report op counts, flops/bytes, and pool
+    /// queue depth through the same recorder. A disabled one leaves the
+    /// sink alone: it may belong to another session of this process.
     pub fn set_recorder(&mut self, recorder: Recorder) {
         self.run_hist = recorder.histogram("session.run_us");
-        rlgraph_tensor::kernels::observe::install_recorder(&recorder);
+        if recorder.is_enabled() {
+            rlgraph_tensor::kernels::observe::install_recorder(&recorder);
+        }
         self.recorder = recorder;
     }
 

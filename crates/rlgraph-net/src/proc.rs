@@ -211,8 +211,7 @@ fn run_worker_inner(spec: &WorkerSpec, recorder: &Recorder) -> RlResult<()> {
     )?;
     coord.set_deadline(deadline);
     // Compression off is the clients' default `CodecProfile::PLAIN`:
-    // exact encodings and no frame-layer LZ — the baseline net_bench's
-    // A/B depends on.
+    // exact encodings and no frame-layer LZ.
     if spec.compression {
         coord.set_codec(crate::codec::CodecProfile::COMPRESSED);
     }

@@ -83,6 +83,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     assert_eq!(stats.updates, 40, "run should hit its update budget");
     assert_eq!(stats.workers_clean, workers, "worker processes should exit cleanly");
+    assert!(stats.losses.iter().all(|l| l.is_finite()), "non-finite loss over TCP");
 
     if let Some(report) = &stats.telemetry_dump {
         println!("\n{}", report);

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# Aggregates every committed BENCH_*.json at the repo root into one
-# readable table: which benches have results, their headline numbers,
-# and when each file last changed. Read-only — regenerating a bench is
-# its binary's job (`cargo run -p bench --bin <name>`).
+# Aggregates the committed BENCH_*.json at the repo root (the c10k,
+# chaos and elastic scale benches) into one readable table: their
+# headline numbers and when each file last changed. Read-only —
+# regenerating a bench is its binary's job (`cargo run -p bench --bin
+# <name>`). Performance numbers are not here: see BENCHMARK.json and
+# crates/benchmark/run.sh.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -31,35 +33,12 @@ def fmt(v, nd=2):
 def headline(name, d):
     """One line of the numbers a reviewer checks first, per bench."""
     try:
-        if name == "BENCH_net.json":
-            w = d["wire"]
-            lines = [
-                f"slowdown tcp/in-process: {fmt(d['slowdown']['ratio'])}x plain, "
-                f"{fmt(d['slowdown']['compressed_ratio'])}x compressed "
-                f"(budget {d['slowdown']['budget']}x)",
-                f"wire bytes: {fmt(w['bytes_tx'] + w['bytes_rx'])} plain -> "
-                f"{fmt(w['compressed_bytes_tx'] + w['compressed_bytes_rx'])} compressed "
-                f"({fmt(w['reduction_total'])}x reduction)",
-                f"mean return: {fmt(d['tcp_multi_process']['mean_return'])} plain, "
-                f"{fmt(d['tcp_compressed']['mean_return'])} compressed",
-            ]
-            return lines
-        if name == "BENCH_codec.json":
-            return [
-                f"{s['stage']}: {fmt(s['bytes_in'])} -> {fmt(s['bytes_out'])} B "
-                f"({s['bytes_in'] / max(s['bytes_out'], 1):.2f}x), "
-                f"enc {fmt(s['encode_ns_per_elem'])} / dec {fmt(s['decode_ns_per_elem'])} ns/elem"
-                for s in d["stages"]
-            ]
         if name == "BENCH_c10k.json":
             return [
                 f"{r['transport']} @ {fmt(r['conns'])}: {fmt(r['held'])} held, "
                 f"{fmt(r['rss_per_conn_bytes'], 0)} B/conn, ping p99 {fmt(r['ping_p99_us'], 1)} us"
                 for r in d.get("scenarios", [])
             ] or None
-        if name == "BENCH_obs.json":
-            o = d["overhead"]
-            return [f"telemetry overhead: {o['fraction'] * 100:.1f}% (budget {o['budget'] * 100:.0f}%)"]
         if name == "BENCH_chaos.json":
             return [
                 f"eval return: {fmt(d['fault_free']['eval_return'])} fault-free, "
@@ -79,9 +58,6 @@ def headline(name, d):
                 f"{fmt(r['samples_reported'])} reported over {len(d['throughput_trace'])} "
                 f"trace points",
             ]
-        if name == "BENCH_kernels.json":
-            n = len(d) if isinstance(d, list) else len(d.get("kernels", d))
-            return [f"{n} kernel entries"]
     except (KeyError, TypeError, ZeroDivisionError) as e:
         return [f"(unrecognized layout: {e})"]
     return None

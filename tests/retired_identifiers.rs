@@ -2,9 +2,13 @@
 //! drivers, the metric aliases that fanned `frag.<stage>.*` out to their
 //! names — is retired, and so is the wire's capability negotiation (the
 //! downgrade latches for peers older than this build, of which there are
-//! none) with the simulator's private chaos model. This fails if an
-//! identifier of either comes back in any source file under
-//! `crates/*/src`, `examples/` or `tests/`.
+//! none) with the simulator's private chaos model, and the five
+//! private-stopwatch bench binaries the repo benchmark superseded, with
+//! their result files, baseline script and env knob. This fails if an
+//! identifier of any of them comes back in a source file under
+//! `crates/*/src`, `examples/` or `tests/`, in a script, or in a document
+//! that describes the repo as it is (`CHANGES.md`, `CHANGELOG.md` and
+//! `ROADMAP.md` record history and are not read).
 
 use std::path::{Path, PathBuf};
 
@@ -35,6 +39,17 @@ fn retired_identifiers_stay_retired() {
         ["get_weights", "_v1"],
         ["encode_frame_", "negotiated"],
         ["simulate_apex", "_chaos"],
+        ["obs_", "bench"],
+        ["codec_", "bench"],
+        ["net_", "bench"],
+        ["kernel_", "bench"],
+        ["serve_", "throughput"],
+        ["bench_seed", "_gemm"],
+        ["RLGRAPH_SEED", "_GEMM_MS"],
+        ["BENCH_", "obs.json"],
+        ["BENCH_", "codec.json"],
+        ["BENCH_", "net.json"],
+        ["BENCH_", "kernels.json"],
     ]
     .map(|h| h.concat());
 
@@ -46,6 +61,12 @@ fn retired_identifiers_stay_retired() {
     rust_files(&root.join("examples"), &mut files);
     rust_files(&root.join("tests"), &mut files);
     assert!(files.len() > 100, "the walk found only {} files", files.len());
+    for script in std::fs::read_dir(root.join("scripts")).expect("scripts directory") {
+        files.push(script.expect("directory entry").path());
+    }
+    for doc in ["README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"] {
+        files.push(root.join(doc));
+    }
 
     for path in &files {
         let text = std::fs::read_to_string(path).expect("source file");
