@@ -273,7 +273,7 @@ mod tests {
         )
         .unwrap();
         let x = rlgraph_tensor::Tensor::from_vec(vec![0.1, -0.2, 0.3], &[1, 3]).unwrap();
-        let a = st.test("call", &[x.clone()]).unwrap();
+        let a = st.test("call", std::slice::from_ref(&x)).unwrap();
         let b = db.test("call", &[x]).unwrap();
         assert!(a[0].allclose(&b[0], 1e-6));
     }

@@ -13,6 +13,10 @@ use rlgraph_tensor::OpKind;
 /// * `q_values(states) -> [b, actions]` — Q head (dueling when configured)
 /// * `logits(states) -> [b, actions]` — same head read as logits
 /// * `value(states) -> [b, 1]` — state-value head
+/// * `logits_and_value(states) -> ([b, actions], [b, 1])` — both heads on
+///   one evaluation of the feature network; an actor-critic learner that
+///   called `logits` and `value` separately would build, run and
+///   differentiate the torso twice
 /// * `log_probs(states) -> [b, actions]` — log-softmax of the logits
 pub struct Policy {
     name: String,
@@ -79,7 +83,13 @@ impl Component for Policy {
     }
 
     fn api_methods(&self) -> Vec<String> {
-        vec!["q_values".into(), "logits".into(), "value".into(), "log_probs".into()]
+        vec![
+            "q_values".into(),
+            "logits".into(),
+            "value".into(),
+            "logits_and_value".into(),
+            "log_probs".into(),
+        ]
     }
 
     fn call_api(
@@ -97,6 +107,12 @@ impl Component for Policy {
             "value" => {
                 let f = self.features(ctx, inputs)?;
                 Ok(ctx.call(self.value_head, "call", &[f])?)
+            }
+            "logits_and_value" => {
+                let f = self.features(ctx, inputs)?;
+                let logits = self.q_from_features(ctx, id, f)?;
+                let value = ctx.call(self.value_head, "call", &[f])?[0];
+                Ok(vec![logits, value])
             }
             "log_probs" => {
                 let f = self.features(ctx, inputs)?;
@@ -131,6 +147,8 @@ mod tests {
             &[
                 ("q_values", vec![Space::float_box(&[6]).with_batch_rank()]),
                 ("value", vec![Space::float_box(&[6]).with_batch_rank()]),
+                ("logits", vec![Space::float_box(&[6]).with_batch_rank()]),
+                ("logits_and_value", vec![Space::float_box(&[6]).with_batch_rank()]),
                 ("log_probs", vec![Space::float_box(&[6]).with_batch_rank()]),
             ],
             backend,
@@ -148,6 +166,29 @@ mod tests {
                 assert_eq!(q[0].shape(), &[3, 4]);
                 let (_, v) = test.test_with_samples("value", 3, &mut rng).unwrap();
                 assert_eq!(v[0].shape(), &[3, 1]);
+            }
+        }
+    }
+
+    #[test]
+    fn logits_and_value_equals_the_separate_heads_bitwise() {
+        for backend in [TestBackend::Static, TestBackend::DefineByRun] {
+            for dueling in [false, true] {
+                let mut test = build(dueling, backend);
+                let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+                let (inputs, both) =
+                    test.test_with_samples("logits_and_value", 5, &mut rng).unwrap();
+                let logits = test.test("logits", &inputs).unwrap();
+                let value = test.test("value", &inputs).unwrap();
+                assert_eq!(both.len(), 2);
+                for (joint, separate) in both.iter().zip([&logits[0], &value[0]]) {
+                    assert_eq!(joint.shape(), separate.shape());
+                    let (j, s) = (joint.as_f32().unwrap(), separate.as_f32().unwrap());
+                    assert!(
+                        j.iter().zip(s).all(|(a, b)| a.to_bits() == b.to_bits()),
+                        "{backend:?} dueling={dueling}: joint heads differ from separate calls"
+                    );
+                }
             }
         }
     }

@@ -128,7 +128,7 @@ mod tests {
             )
             .unwrap();
             let x = Tensor::from_vec(vec![0.3, -0.8], &[1, 2]).unwrap();
-            let before = test.test("both", &[x.clone()]).unwrap();
+            let before = test.test("both", std::slice::from_ref(&x)).unwrap();
             assert!(!before[0].allclose(&before[1], 1e-6), "nets should start different");
             test.test("sync", &[]).unwrap();
             let after = test.test("both", &[x]).unwrap();

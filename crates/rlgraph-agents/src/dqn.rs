@@ -703,7 +703,7 @@ mod tests {
         let exec = agent.executor_mut();
         // The executor trait object hides the concrete type; verify via
         // execute that repeated greedy calls stay consistent.
-        let a = exec.execute("get_actions_greedy", &[states.clone()]).unwrap();
+        let a = exec.execute("get_actions_greedy", std::slice::from_ref(&states)).unwrap();
         let b = exec.execute("get_actions_greedy", &[states]).unwrap();
         assert_eq!(a[0], b[0]);
     }

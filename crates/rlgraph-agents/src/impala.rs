@@ -561,10 +561,10 @@ impl Component for ImpalaLearnerRoot {
                     spec.extend(core.iter().map(|&d| d as isize));
                     Ok(vec![ctx.emit(OpKind::Reshape { shape: spec }, &[ins[0]])?])
                 })?[0];
-                let logits_flat = ctx.call(self.policy, "logits", &[folded])?[0];
-                let values_flat = ctx.call(self.policy, "value", &[folded])?[0];
+                // one torso evaluation (and one backward pass) for both heads
+                let heads = ctx.call(self.policy, "logits_and_value", &[folded])?;
                 let boot_value = ctx.call(self.policy, "value", &[pre_boot])?[0];
-                (logits_flat, values_flat, boot_value)
+                (heads[0], heads[1], boot_value)
             }
             Some(_) => {
                 // Re-unroll the recurrent policy from the rollout's initial
@@ -941,6 +941,54 @@ mod tests {
         assert!(losses.baseline >= 0.0);
         assert!(losses.entropy > 0.0, "fresh policy should have entropy, got {}", losses.entropy);
         assert_eq!(learner.num_updates(), 1);
+    }
+
+    /// The repo benchmark's `impala_inproc` learner (3 conv + dense 64 on
+    /// GridPong pixels, rollout 20 x 4 envs) evaluates its torso once per
+    /// pass: the 80-frame batch and the 4-frame bootstrap forward, one
+    /// backward. Two separate policy calls on the batch would make it
+    /// 9 / 6 / 4.
+    #[test]
+    fn learner_evaluates_the_conv_torso_once() {
+        use rlgraph_envs::{Env, GridPong, GridPongConfig};
+        use rlgraph_nn::LayerSpec;
+        let conv = |filters, stride| LayerSpec::Conv2d {
+            filters,
+            kernel: 3,
+            stride,
+            padding: 1,
+            activation: Activation::Relu,
+        };
+        let cfg = ImpalaConfig {
+            backend: Backend::Static,
+            network: NetworkSpec::new(vec![
+                conv(16, 2),
+                conv(32, 2),
+                conv(32, 1),
+                LayerSpec::Flatten,
+                LayerSpec::Dense { units: 64, activation: Activation::Relu },
+            ]),
+            rollout_len: 20,
+            queue_capacity: 4,
+            seed: 1,
+            ..ImpalaConfig::default()
+        };
+        let pong =
+            |i: usize| GridPong::new(GridPongConfig { seed: i as u64, ..Default::default() });
+        let (state_space, n_envs) = (pong(0).state_space(), 4);
+        let envs = VectorEnv::from_factory(n_envs, |i| Box::new(pong(i))).unwrap();
+        let queue = TensorQueue::new("rollouts", cfg.queue_capacity);
+        let mut actor = ImpalaActor::new(&cfg, envs, queue.clone()).unwrap();
+        let mut learner = ImpalaLearner::new(&cfg, state_space, 3, n_envs, queue).unwrap();
+        actor.rollout().unwrap();
+        assert!(learner.learn().unwrap().total.is_finite());
+        let stats = learner.executor.as_static().expect("static backend").session().stats();
+        let count = |op: &str| stats.per_op.get(op).copied().unwrap_or(0);
+        assert_eq!(
+            (count("conv2d"), count("conv2d_backprop_filter"), count("conv2d_backprop_input")),
+            (6, 3, 2),
+            "conv nodes run by one learn step"
+        );
     }
 
     #[test]

@@ -383,7 +383,7 @@ mod tests {
             .unwrap();
         let x = Tensor::from_vec(vec![0.5, -1.0, 2.0], &[1, 3]).unwrap();
         use crate::executor::GraphExecutor as _;
-        let a = st.execute("forward", &[x.clone()]).unwrap();
+        let a = st.execute("forward", std::slice::from_ref(&x)).unwrap();
         let b = db.execute("forward", &[x]).unwrap();
         assert!(a[0].allclose(&b[0], 1e-6));
     }

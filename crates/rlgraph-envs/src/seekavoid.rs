@@ -299,7 +299,4 @@ mod tests {
         env.reset();
         assert!(env.step(&Tensor::scalar_i64(4)).is_err());
     }
-
-    use rand::RngExt as _;
-    use rand::SeedableRng as _;
 }

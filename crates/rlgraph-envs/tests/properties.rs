@@ -67,11 +67,11 @@ proptest! {
     #[test]
     fn cartpole_state_finite(seed in 0u64..500, actions in prop::collection::vec(0i64..2, 1..200)) {
         let mut env = CartPole::new(seed, 500);
-        let mut obs = env.reset();
+        let obs = env.reset();
+        prop_assert!(obs.as_f32().unwrap().iter().all(|v| v.is_finite()));
         for a in actions {
             let step = env.step(&Tensor::scalar_i64(a)).unwrap();
-            obs = step.obs;
-            prop_assert!(obs.as_f32().unwrap().iter().all(|v| v.is_finite()));
+            prop_assert!(step.obs.as_f32().unwrap().iter().all(|v| v.is_finite()));
             if step.terminal {
                 break;
             }

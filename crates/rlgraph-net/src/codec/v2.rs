@@ -569,7 +569,7 @@ fn shape_elems(shape: &[usize]) -> RlResult<usize> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{get_snapshot, put_snapshot, put_trajectory};
+    use super::super::{get_snapshot, put_trajectory};
     use super::*;
 
     fn snap(version: u64, vals: &[(&str, Vec<f32>)]) -> WeightsSnapshot {

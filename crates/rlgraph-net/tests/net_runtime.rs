@@ -54,13 +54,13 @@ fn shard_service_over_tcp_serves_the_replay_path() {
             )
         })
         .collect();
-    client.insert(&transitions, &vec![1.0; 16]).unwrap();
+    client.insert(&transitions, &[1.0; 16]).unwrap();
     assert_eq!(client.watermark().unwrap(), 16);
 
     let batch = client.sample(8, 0.4).unwrap().expect("filled");
     assert_eq!(batch.tensors[0].shape(), &[8, 3]);
     assert_eq!(batch.indices.len(), 8);
-    client.update_priorities(&batch.indices, &vec![2.0; 8]).unwrap();
+    client.update_priorities(&batch.indices, &[2.0; 8]).unwrap();
     assert!(client.sample(8, 0.4).unwrap().is_some());
     server.shutdown();
 }

@@ -338,7 +338,7 @@ mod tests {
 
     #[test]
     fn roundtrips_and_compresses_repetitive_data() {
-        let data: Vec<u8> = (0..4096u32).flat_map(|i| ((i % 7) as u32).to_le_bytes()).collect();
+        let data: Vec<u8> = (0..4096u32).flat_map(|i| (i % 7).to_le_bytes()).collect();
         let blob = compress(&data);
         assert!(blob.len() * 3 < data.len(), "{} vs {}", blob.len(), data.len());
         assert_eq!(decompress(&blob, data.len()).unwrap(), data);

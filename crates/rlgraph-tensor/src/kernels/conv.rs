@@ -8,7 +8,7 @@
 
 use crate::{pool, tensor_err, Result, Tensor};
 
-use super::gemm::{gemm_f32, Layout};
+use super::gemm::{gemm_f32, worth_dispatch, Layout};
 use super::{observe, reference};
 
 pub(crate) fn conv_out_dim(
@@ -93,6 +93,12 @@ impl Geom {
         self.o * self.col_rows() * self.col_cols()
     }
 
+    /// Whether the batch loop is worth a pool dispatch (one task per
+    /// image, each running its GEMM on the claiming thread).
+    fn batch_par(&self) -> bool {
+        self.b > 1 && worth_dispatch(2 * self.b * self.work())
+    }
+
     fn check_grad(&self, grad_out: &Tensor, against: &str) -> Result<()> {
         let (gb, go, goh, gow) = dims4(grad_out);
         if gb != self.b || go != self.o || goh != self.oh || gow != self.ow {
@@ -174,6 +180,7 @@ fn col2im(colg: &[f32], g: &Geom, img: &mut [f32]) {
 pub fn conv2d(input: &Tensor, filters: &Tensor, stride: usize, padding: usize) -> Result<Tensor> {
     let g = Geom::resolve(input, filters, stride, padding)?;
     if g.work() < GEMM_MIN_WORK {
+        observe::record_conv(Some(g.b * g.work()));
         return reference::conv2d(input, filters, stride, padding);
     }
     conv2d_im2col(input, filters, stride, padding)
@@ -190,11 +197,11 @@ pub fn conv2d_im2col(
     let g = Geom::resolve(input, filters, stride, padding)?;
     let x = input.as_f32()?;
     let f = filters.as_f32()?;
-    observe::record_conv(g.b * g.work());
+    observe::record_conv(None);
     let mut out = vec![0.0f32; g.b * g.o * g.col_cols()];
     let image = g.c * g.h * g.w;
     let out_image = g.o * g.col_cols();
-    let batch_par = pool::current_threads() > 1 && g.b > 1;
+    let batch_par = g.batch_par();
     let obase = out.as_mut_ptr() as usize;
     let per_image = |bi: usize| {
         let mut col = vec![0.0f32; g.col_rows() * g.col_cols()];
@@ -230,6 +237,7 @@ pub fn conv2d_backprop_input(
 ) -> Result<Tensor> {
     let g = Geom::resolve(input_ref, filters, stride, padding)?;
     if g.work() < GEMM_MIN_WORK {
+        observe::record_conv(Some(g.b * g.work()));
         return reference::conv2d_backprop_input(filters, grad_out, input_ref, stride, padding);
     }
     conv2d_backprop_input_im2col(filters, grad_out, input_ref, stride, padding)
@@ -247,11 +255,11 @@ pub fn conv2d_backprop_input_im2col(
     g.check_grad(grad_out, "conv2d_backprop_input")?;
     let f = filters.as_f32()?;
     let gv = grad_out.as_f32()?;
-    observe::record_conv(g.b * g.work());
+    observe::record_conv(None);
     let mut out = vec![0.0f32; g.b * g.c * g.h * g.w];
     let image = g.c * g.h * g.w;
     let out_image = g.o * g.col_cols();
-    let batch_par = pool::current_threads() > 1 && g.b > 1;
+    let batch_par = g.batch_par();
     let obase = out.as_mut_ptr() as usize;
     let per_image = |bi: usize| {
         // colg [c*kh*kw, oh*ow] = filters [o, c*kh*kw]ᵀ @ grad_b [o, oh*ow]
@@ -296,6 +304,7 @@ pub fn conv2d_backprop_filter(
 ) -> Result<Tensor> {
     let g = Geom::resolve(input, filter_ref, stride, padding)?;
     if g.work() < GEMM_MIN_WORK {
+        observe::record_conv(Some(g.b * g.work()));
         return reference::conv2d_backprop_filter(input, grad_out, filter_ref, stride, padding);
     }
     conv2d_backprop_filter_im2col(input, grad_out, filter_ref, stride, padding)
@@ -317,7 +326,7 @@ pub fn conv2d_backprop_filter_im2col(
     g.check_grad(grad_out, "conv2d_backprop_filter")?;
     let x = input.as_f32()?;
     let gv = grad_out.as_f32()?;
-    observe::record_conv(g.b * g.work());
+    observe::record_conv(None);
     let mut gf = vec![0.0f32; g.o * g.col_rows()];
     let image = g.c * g.h * g.w;
     let out_image = g.o * g.col_cols();

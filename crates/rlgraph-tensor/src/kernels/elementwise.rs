@@ -6,7 +6,7 @@
 //! results are bit-identical for any thread count.
 
 use super::{FusedAct, OpKind};
-use crate::shape::{broadcast_shapes, broadcast_strides, num_elements, ravel, unravel};
+use crate::shape::{broadcast_shapes, num_elements, Walk};
 use crate::{tensor_err, DType, Result, Tensor};
 
 /// Below this many output elements the dispatch overhead is not worth it.
@@ -23,50 +23,68 @@ fn fill_f32(out: &mut [f32], f: impl Fn(usize, &mut [f32]) + Sync) {
     }
 }
 
-/// `true` when `small` is a trailing-dim match of `big`, i.e. the broadcast
-/// just repeats `small` along the flattened output.
-fn is_suffix(small: &[usize], big: &[usize]) -> bool {
-    small.len() <= big.len() && big[big.len() - small.len()..] == *small
-}
-
 /// Applies `f` over broadcast f32 inputs.
+///
+/// Same-shape, suffix and scalar operands collapse to a single run of the
+/// [`Walk`]; every other broadcast becomes runs in which each operand either
+/// advances with the output or stays put, so all of them share these loops.
 fn zip_f32(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync) -> Result<Tensor> {
     let (av, bv) = (coerce_f32(a)?, coerce_f32(b)?);
     let out_shape = broadcast_shapes(a.shape(), b.shape())?;
-    let n = num_elements(&out_shape);
-    let mut out = vec![0.0f32; n];
-    if a.shape() == b.shape() {
-        fill_f32(&mut out, |start, chunk| {
-            for (i, o) in chunk.iter_mut().enumerate() {
-                *o = f(av[start + i], bv[start + i]);
+    let walk = Walk::broadcast(&out_shape, [a.shape(), b.shape()]);
+    let steps = walk.steps();
+    let mut out = vec![0.0f32; num_elements(&out_shape)];
+    fill_f32(&mut out, |start, chunk| {
+        walk.for_each_run(start, start + chunk.len(), |flat, len, [oa, ob]| {
+            let o = &mut chunk[flat - start..][..len];
+            match steps {
+                [1, 1] => {
+                    for ((o, &x), &y) in o.iter_mut().zip(&av[oa..oa + len]).zip(&bv[ob..ob + len])
+                    {
+                        *o = f(x, y);
+                    }
+                }
+                [1, 0] => {
+                    let y = bv[ob];
+                    for (o, &x) in o.iter_mut().zip(&av[oa..oa + len]) {
+                        *o = f(x, y);
+                    }
+                }
+                [0, 1] => {
+                    let x = av[oa];
+                    for (o, &y) in o.iter_mut().zip(&bv[ob..ob + len]) {
+                        *o = f(x, y);
+                    }
+                }
+                // broadcasts only reach here for a one-element space
+                [sa, sb] => {
+                    for (i, o) in o.iter_mut().enumerate() {
+                        *o = f(av[oa + i * sa], bv[ob + i * sb]);
+                    }
+                }
             }
         });
-    } else if is_suffix(b.shape(), a.shape()) && !bv.is_empty() {
-        // common dense-layer case: bias repeated along leading dims
-        let lane = bv.len();
-        fill_f32(&mut out, |start, chunk| {
-            for (i, o) in chunk.iter_mut().enumerate() {
-                *o = f(av[start + i], bv[(start + i) % lane]);
-            }
-        });
-    } else if is_suffix(a.shape(), b.shape()) && !av.is_empty() {
-        let lane = av.len();
-        fill_f32(&mut out, |start, chunk| {
-            for (i, o) in chunk.iter_mut().enumerate() {
-                *o = f(av[(start + i) % lane], bv[start + i]);
-            }
-        });
-    } else {
-        let sa = broadcast_strides(a.shape(), &out_shape);
-        let sb = broadcast_strides(b.shape(), &out_shape);
-        fill_f32(&mut out, |start, chunk| {
-            for (i, o) in chunk.iter_mut().enumerate() {
-                let coords = unravel(start + i, &out_shape);
-                *o = f(av[ravel(&coords, &sa)], bv[ravel(&coords, &sb)]);
-            }
-        });
-    }
+    });
     Tensor::from_vec(out, &out_shape)
+}
+
+/// Collects `f(a, b)` over broadcast operands of any element type, in output
+/// order (the dtype-generic sibling of [`zip_f32`] for the small non-f32
+/// kernels).
+fn zip_map<A: Copy, B: Copy, T>(
+    (av, a_shape): (&[A], &[usize]),
+    (bv, b_shape): (&[B], &[usize]),
+    out_shape: &[usize],
+    f: impl Fn(A, B) -> T,
+) -> Vec<T> {
+    let n = num_elements(out_shape);
+    let walk = Walk::broadcast(out_shape, [a_shape, b_shape]);
+    let [sa, sb] = walk.steps();
+    let mut out = Vec::with_capacity(n);
+    walk.for_each_run(0, n, |_, len, [oa, ob]| {
+        out.extend((0..len).map(|i| f(av[oa + i * sa], bv[ob + i * sb])));
+    });
+    out
 }
 
 fn coerce_f32(t: &Tensor) -> Result<std::borrow::Cow<'_, [f32]>> {
@@ -95,16 +113,9 @@ pub fn compare(kind: &OpKind, a: &Tensor, b: &Tensor) -> Result<Tensor> {
     // Exact integer comparison when both sides are i64; otherwise f32.
     if a.dtype() == DType::I64 && b.dtype() == DType::I64 {
         let (av, bv) = (a.as_i64()?, b.as_i64()?);
+        let cmp = cmp_i64(kind)?;
         let out_shape = broadcast_shapes(a.shape(), b.shape())?;
-        let n = num_elements(&out_shape);
-        let sa = broadcast_strides(a.shape(), &out_shape);
-        let sb = broadcast_strides(b.shape(), &out_shape);
-        let mut out = Vec::with_capacity(n);
-        for flat in 0..n {
-            let coords = unravel(flat, &out_shape);
-            let (x, y) = (av[ravel(&coords, &sa)], bv[ravel(&coords, &sb)]);
-            out.push(cmp_i64(kind, x, y)?);
-        }
+        let out = zip_map((av, a.shape()), (bv, b.shape()), &out_shape, cmp);
         return Tensor::from_vec_bool(out, &out_shape);
     }
     let t = zip_f32(a, b, |x, y| {
@@ -126,35 +137,27 @@ pub fn compare(kind: &OpKind, a: &Tensor, b: &Tensor) -> Result<Tensor> {
     Ok(t.cast(DType::Bool))
 }
 
-fn cmp_i64(kind: &OpKind, x: i64, y: i64) -> Result<bool> {
+fn cmp_i64(kind: &OpKind) -> Result<fn(i64, i64) -> bool> {
     Ok(match kind {
-        OpKind::Greater => x > y,
-        OpKind::GreaterEqual => x >= y,
-        OpKind::Less => x < y,
-        OpKind::LessEqual => x <= y,
-        OpKind::Equal => x == y,
-        OpKind::NotEqual => x != y,
+        OpKind::Greater => |x, y| x > y,
+        OpKind::GreaterEqual => |x, y| x >= y,
+        OpKind::Less => |x, y| x < y,
+        OpKind::LessEqual => |x, y| x <= y,
+        OpKind::Equal => |x, y| x == y,
+        OpKind::NotEqual => |x, y| x != y,
         _ => return Err(tensor_err!("{} is not a comparison op", kind.name())),
     })
 }
 
 /// Boolean and/or with broadcasting.
 pub fn logical(kind: &OpKind, a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    let (av, bv) = (a.as_bool()?, b.as_bool()?);
+    let f: fn(bool, bool) -> bool = match kind {
+        OpKind::LogicalAnd => |x, y| x && y,
+        OpKind::LogicalOr => |x, y| x || y,
+        _ => return Err(tensor_err!("{} is not a logical op", kind.name())),
+    };
     let out_shape = broadcast_shapes(a.shape(), b.shape())?;
-    let n = num_elements(&out_shape);
-    let sa = broadcast_strides(a.shape(), &out_shape);
-    let sb = broadcast_strides(b.shape(), &out_shape);
-    let mut out = Vec::with_capacity(n);
-    for flat in 0..n {
-        let coords = unravel(flat, &out_shape);
-        let (x, y) = (av[ravel(&coords, &sa)], bv[ravel(&coords, &sb)]);
-        out.push(match kind {
-            OpKind::LogicalAnd => x && y,
-            OpKind::LogicalOr => x || y,
-            _ => return Err(tensor_err!("{} is not a logical op", kind.name())),
-        });
-    }
+    let out = zip_map((a.as_bool()?, a.shape()), (b.as_bool()?, b.shape()), &out_shape, f);
     Tensor::from_vec_bool(out, &out_shape)
 }
 
@@ -222,16 +225,20 @@ pub fn where_op(cond: &Tensor, a: &Tensor, b: &Tensor) -> Result<Tensor> {
     let ab = broadcast_shapes(a.shape(), b.shape())?;
     let out_shape = broadcast_shapes(cond.shape(), &ab)?;
     let n = num_elements(&out_shape);
-    let sc = broadcast_strides(cond.shape(), &out_shape);
-    let sa = broadcast_strides(a.shape(), &out_shape);
-    let sb = broadcast_strides(b.shape(), &out_shape);
+    let walk = Walk::broadcast(&out_shape, [cond.shape(), a.shape(), b.shape()]);
+    let [sc, sa, sb] = walk.steps();
     let mut out = Vec::with_capacity(n);
-    for flat in 0..n {
-        let coords = unravel(flat, &out_shape);
-        let v =
-            if cv[ravel(&coords, &sc)] { av[ravel(&coords, &sa)] } else { bv[ravel(&coords, &sb)] };
-        out.push(v);
-    }
+    walk.for_each_run(0, n, |_, len, [oc, oa, ob]| {
+        out.extend((0..len).map(
+            |i| {
+                if cv[oc + i * sc] {
+                    av[oa + i * sa]
+                } else {
+                    bv[ob + i * sb]
+                }
+            },
+        ));
+    });
     Tensor::from_vec(out, &out_shape)
 }
 

@@ -73,9 +73,18 @@ const KC: usize = 256;
 /// Rows per parallel task; a multiple of `MR` for both tile configurations.
 const ROW_BLOCK: usize = 32;
 
-/// Below this many multiply-adds a parallel dispatch costs more than it
-/// saves and the row loop runs on the calling thread.
-const PAR_MIN_WORK: usize = 64 * 1024;
+/// Below this many flops a pool dispatch costs more than it saves and the
+/// work stays on the calling thread. Waking a worker on another core costs
+/// tens of microseconds, so a dispatch should have a few hundred
+/// microseconds of single-thread work behind it; the blocked GEMM sustains
+/// 35–70 flops/ns on the hosts this was sized on, which puts 16 Mi flops at
+/// 240–480 us. Shared by the GEMM row loop and conv's batch loop.
+const PAR_MIN_FLOPS: usize = 16 * 1024 * 1024;
+
+/// Whether `flops` of kernel work justify a pool dispatch.
+pub(crate) fn worth_dispatch(flops: usize) -> bool {
+    flops >= PAR_MIN_FLOPS && pool::current_threads() > 1
+}
 
 thread_local! {
     static APACK: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
@@ -113,7 +122,7 @@ pub(crate) fn gemm_f32(
     }
     observe::record_gemm(layout.name(), m, n, k);
     let blocks = m.div_ceil(ROW_BLOCK);
-    let par = par && blocks > 1 && 2 * m * n * k >= PAR_MIN_WORK && pool::current_threads() > 1;
+    let par = par && blocks > 1 && worth_dispatch(2 * m * n * k);
     BPACK.with(|buf| {
         let mut bpack = buf.borrow_mut();
         let mut k0 = 0;

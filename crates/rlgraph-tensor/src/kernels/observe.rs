@@ -88,11 +88,15 @@ pub(crate) fn record_small_matmul() {
     }
 }
 
-/// Records one im2col conv dispatch with its total multiply-add count.
-pub(crate) fn record_conv(madds: usize) {
+/// Records one conv dispatch. `direct_madds` is the multiply-add count of
+/// a conv the direct loops execute; a lowered conv passes `None`, because
+/// its GEMMs report the same multiply-adds through [`record_gemm`].
+pub(crate) fn record_conv(direct_madds: Option<usize>) {
     if let Some(s) = sink() {
         s.conv_calls.inc();
-        s.flops.add(2.0 * madds as f64);
+        if let Some(madds) = direct_madds {
+            s.flops.add(2.0 * madds as f64);
+        }
     }
 }
 
@@ -121,7 +125,9 @@ mod tests {
         install_recorder(&Recorder::disabled());
         let snap = rec.metrics_snapshot();
         // Other tests in this binary may run kernels concurrently while the
-        // sink is installed, so assert lower bounds rather than equality.
+        // sink is installed, so assert lower bounds rather than equality;
+        // the exact tallies (every conv and GEMM flop counted once) are
+        // asserted in the single-test binary `tests/observe_flops.rs`.
         let calls = snap.counters.iter().find(|(n, _)| n == "kernel.gemm.calls").map(|(_, v)| *v);
         assert!(calls.unwrap_or(0) >= 1);
         let flops =

@@ -1,7 +1,7 @@
 //! Reduction kernels: sum/mean/max/min, argmax, softmax, and `unreduce`
 //! (the shared gradient expander for reductions).
 
-use crate::shape::{normalize_axes, num_elements, ravel, reduced_shape, strides, unravel};
+use crate::shape::{normalize_axes, num_elements, reduced_shape, strides, Walk};
 use crate::{tensor_err, Result, Tensor};
 
 /// Which reduction to apply.
@@ -29,7 +29,7 @@ const PAR_CHUNK_WORK: usize = 16 * 1024;
 /// visits exactly the order a linear input scan would), which keeps results
 /// bit-identical to the previous element-by-element implementation while
 /// allowing output slots to be computed independently — and therefore in
-/// parallel, with no per-element `unravel` allocation.
+/// parallel, with no per-element coordinate decomposition.
 pub fn reduce(
     input: &Tensor,
     axes: Option<&[usize]>,
@@ -136,18 +136,29 @@ pub fn unreduce(
     let g = reduced.as_f32()?;
     let lane: usize = axes.iter().map(|&a| input_ref.shape()[a]).product();
     let scale = if mean { 1.0 / lane as f32 } else { 1.0 };
+    // the reduced axes read `g` with stride 0
     let out_full = reduced_shape(input_ref.shape(), &axes, true);
-    let out_strides = strides(&out_full);
+    let walk = Walk::broadcast(input_ref.shape(), [&out_full]);
+    let [step] = walk.steps();
     let n = input_ref.len();
     let mut out = Vec::with_capacity(n);
-    for flat in 0..n {
-        let mut coords = unravel(flat, input_ref.shape());
-        for &a in &axes {
-            coords[a] = 0;
-        }
-        out.push(g[ravel(&coords, &out_strides)] * scale);
-    }
+    walk.for_each_run(0, n, |_, len, [off]| {
+        out.extend((0..len).map(|i| g[off + i * step] * scale));
+    });
     Tensor::from_vec(out, input_ref.shape())
+}
+
+/// Calls `f(base)` for every lane of `shape` along `axis`, in output order:
+/// `base` is the input offset of the lane's first element.
+fn for_each_lane(shape: &[usize], axis: usize, mut f: impl FnMut(usize)) {
+    let lanes = reduced_shape(shape, &[axis], true);
+    let walk = Walk::new(&lanes, [&strides(shape)]);
+    let [step] = walk.steps();
+    walk.for_each_run(0, num_elements(&lanes), |_, len, [off]| {
+        for i in 0..len {
+            f(off + i * step);
+        }
+    });
 }
 
 /// Index of the max along `axis`, as i64.
@@ -162,29 +173,9 @@ pub fn argmax(input: &Tensor, axis: usize) -> Result<Tensor> {
         return Err(tensor_err!("argmax over empty axis"));
     }
     let out_shape = reduced_shape(input.shape(), &[axis], false);
-    let st = strides(input.shape());
-    let axis_stride = st[axis];
-    let n_out = num_elements(&out_shape);
-    let mut out = Vec::with_capacity(n_out);
-    // Enumerate lanes: iterate coordinates of the output shape and rebuild
-    // the base offset in the input.
-    let keep = reduced_shape(input.shape(), &[axis], true);
-    let keep_strides = strides(&keep);
-    for flat in 0..n_out {
-        // coords in out_shape == coords in keep with axis removed
-        let coords_out = unravel(flat, &out_shape);
-        let mut coords = Vec::with_capacity(rank);
-        let mut j = 0;
-        for i in 0..rank {
-            if i == axis {
-                coords.push(0);
-            } else {
-                coords.push(coords_out[j]);
-                j += 1;
-            }
-        }
-        let _ = keep_strides; // base computed from input strides directly
-        let base = ravel(&coords, &st);
+    let axis_stride = strides(input.shape())[axis];
+    let mut out = Vec::with_capacity(num_elements(&out_shape));
+    for_each_lane(input.shape(), axis, |base| {
         let mut best = 0usize;
         let mut best_v = x[base];
         for k in 1..d {
@@ -195,7 +186,7 @@ pub fn argmax(input: &Tensor, axis: usize) -> Result<Tensor> {
             }
         }
         out.push(best as i64);
-    }
+    });
     Tensor::from_vec_i64(out, &out_shape)
 }
 
@@ -210,24 +201,9 @@ pub fn softmax(input: &Tensor, axis: usize, log: bool) -> Result<Tensor> {
     if d == 0 {
         return Err(tensor_err!("softmax over empty axis"));
     }
-    let st = strides(input.shape());
-    let axis_stride = st[axis];
-    let out_shape = reduced_shape(input.shape(), &[axis], false);
-    let n_lanes = num_elements(&out_shape);
+    let axis_stride = strides(input.shape())[axis];
     let mut out = vec![0.0f32; input.len()];
-    for flat in 0..n_lanes {
-        let coords_out = unravel(flat, &out_shape);
-        let mut coords = Vec::with_capacity(rank);
-        let mut j = 0;
-        for i in 0..rank {
-            if i == axis {
-                coords.push(0);
-            } else {
-                coords.push(coords_out[j]);
-                j += 1;
-            }
-        }
-        let base = ravel(&coords, &st);
+    for_each_lane(input.shape(), axis, |base| {
         let mut max_v = f32::NEG_INFINITY;
         for k in 0..d {
             max_v = max_v.max(x[base + k * axis_stride]);
@@ -242,7 +218,7 @@ pub fn softmax(input: &Tensor, axis: usize, log: bool) -> Result<Tensor> {
             let shifted = x[idx] - max_v;
             out[idx] = if log { shifted - log_sum } else { (shifted - log_sum).exp() };
         }
-    }
+    });
     Tensor::from_vec(out, input.shape())
 }
 

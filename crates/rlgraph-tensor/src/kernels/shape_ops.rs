@@ -1,27 +1,71 @@
 //! Shape-manipulation kernels (dtype-generic): reshape, transpose, concat,
 //! stack, slice, tile, and their gradient helpers.
 
-use crate::shape::{num_elements, ravel, resolve_reshape, strides, unravel};
+use crate::shape::{num_elements, resolve_reshape, strides, Walk};
 use crate::{tensor_err, DType, Result, Tensor};
 
-/// Builds an output of `out_shape` where element `i` is input element
-/// `map(i)`. Preserves dtype.
-fn remap(t: &Tensor, out_shape: &[usize], map: impl Fn(usize) -> usize) -> Result<Tensor> {
+/// Collects the `n` elements `walk` visits in `x`, in visiting order.
+fn gather<T: Copy>(x: &[T], n: usize, walk: &Walk<1>) -> Vec<T> {
+    let [step] = walk.steps();
+    let mut out = Vec::with_capacity(n);
+    walk.for_each_run(0, n, |_, len, [off]| match step {
+        1 => out.extend_from_slice(&x[off..off + len]),
+        _ => out.extend((0..len).map(|i| x[off + i * step])),
+    });
+    out
+}
+
+/// Builds an output of `out_shape` whose elements are the ones `walk`
+/// visits in `t`'s data from offset `base` on. Preserves dtype.
+fn remap(t: &Tensor, out_shape: &[usize], walk: &Walk<1>, base: usize) -> Result<Tensor> {
     let n = num_elements(out_shape);
     match t.dtype() {
-        DType::F32 => {
-            let x = t.as_f32()?;
-            Tensor::from_vec((0..n).map(|i| x[map(i)]).collect(), out_shape)
-        }
-        DType::I64 => {
-            let x = t.as_i64()?;
-            Tensor::from_vec_i64((0..n).map(|i| x[map(i)]).collect(), out_shape)
-        }
-        DType::Bool => {
-            let x = t.as_bool()?;
-            Tensor::from_vec_bool((0..n).map(|i| x[map(i)]).collect(), out_shape)
-        }
+        DType::F32 => Tensor::from_vec(gather(&t.as_f32()?[base..], n, walk), out_shape),
+        DType::I64 => Tensor::from_vec_i64(gather(&t.as_i64()?[base..], n, walk), out_shape),
+        DType::Bool => Tensor::from_vec_bool(gather(&t.as_bool()?[base..], n, walk), out_shape),
     }
+}
+
+/// Sends every element of `x`, in ascending order, to the slot of `out`
+/// that `walk` pairs it with: `put(slot, value)`. Slots that receive several
+/// values receive them in `x`'s flat order.
+fn scatter(x: &[f32], walk: &Walk<1>, out: &mut [f32], put: impl Fn(&mut f32, f32)) {
+    let [step] = walk.steps();
+    walk.for_each_run(0, x.len(), |flat, len, [off]| {
+        let src = &x[flat..flat + len];
+        match step {
+            0 => {
+                let slot = &mut out[off];
+                for &v in src {
+                    put(slot, v);
+                }
+            }
+            1 => {
+                for (slot, &v) in out[off..off + len].iter_mut().zip(src) {
+                    put(slot, v);
+                }
+            }
+            _ => {
+                for (i, &v) in src.iter().enumerate() {
+                    put(&mut out[off + i * step], v);
+                }
+            }
+        }
+    });
+}
+
+/// Splits every axis of a tiled shape into `(repeat, original)` so the
+/// original tensor is read with stride 0 along each repeat: the shape to
+/// walk and the original's strides over it.
+fn tile_axes(in_shape: &[usize], reps: &[usize]) -> (Vec<usize>, Vec<usize>) {
+    let in_strides = strides(in_shape);
+    let mut shape = Vec::with_capacity(2 * reps.len());
+    let mut st = Vec::with_capacity(2 * reps.len());
+    for ((&d, &r), &s) in in_shape.iter().zip(reps).zip(&in_strides) {
+        shape.extend([r, d]);
+        st.extend([0, s]);
+    }
+    (shape, st)
 }
 
 /// Reshape with an optional `-1` wildcard.
@@ -82,16 +126,11 @@ pub fn reduce_to_like(a: &Tensor, shape_ref: &Tensor) -> Result<Tensor> {
             target
         ));
     }
-    // Axes introduced by broadcasting (leading) are summed away; axes where
-    // the target had size 1 are summed with keep_dims.
+    // Axes introduced by broadcasting (leading) and axes where the target
+    // had size 1 are summed away: the output stands still along them.
     let offset = rank_a - rank_t;
-    let lead: Vec<usize> = (0..offset).collect();
-    let x = a.as_f32()?;
-    let mut keep_axes: Vec<usize> = Vec::new();
     for i in 0..rank_t {
-        if target[i] == 1 && a.shape()[offset + i] != 1 {
-            keep_axes.push(offset + i);
-        } else if target[i] != a.shape()[offset + i] {
+        if target[i] != 1 && target[i] != a.shape()[offset + i] {
             return Err(tensor_err!(
                 "reduce_to_like: {:?} is not a broadcast of {:?}",
                 a.shape(),
@@ -100,17 +139,8 @@ pub fn reduce_to_like(a: &Tensor, shape_ref: &Tensor) -> Result<Tensor> {
         }
     }
     let mut out = vec![0.0f32; num_elements(target)];
-    let t_strides = strides(target);
-    for (flat, &v) in x.iter().enumerate() {
-        let coords = unravel(flat, a.shape());
-        let mut tc = Vec::with_capacity(rank_t);
-        for i in 0..rank_t {
-            let c = coords[offset + i];
-            tc.push(if keep_axes.contains(&(offset + i)) { 0 } else { c });
-        }
-        let _ = &lead;
-        out[ravel(&tc, &t_strides)] += v;
-    }
+    let walk = Walk::broadcast(a.shape(), [target]);
+    scatter(a.as_f32()?, &walk, &mut out, |slot, v| *slot += v);
     Tensor::from_vec(out, target)
 }
 
@@ -129,14 +159,8 @@ pub fn transpose(t: &Tensor, perm: &[usize]) -> Result<Tensor> {
     }
     let out_shape: Vec<usize> = perm.iter().map(|&p| t.shape()[p]).collect();
     let in_strides = strides(t.shape());
-    remap(t, &out_shape.clone(), |flat| {
-        let oc = unravel(flat, &out_shape);
-        let mut ic = vec![0usize; rank];
-        for (k, &p) in perm.iter().enumerate() {
-            ic[p] = oc[k];
-        }
-        ravel(&ic, &in_strides)
-    })
+    let permuted: Vec<usize> = perm.iter().map(|&p| in_strides[p]).collect();
+    remap(t, &out_shape, &Walk::new(&out_shape, [&permuted]), 0)
 }
 
 /// Inserts a size-1 axis at `axis`.
@@ -281,12 +305,9 @@ pub fn slice(t: &Tensor, axis: usize, start: usize, len: usize) -> Result<Tensor
     let mut out_shape = t.shape().to_vec();
     out_shape[axis] = len;
     let in_strides = strides(t.shape());
-    let shape_for_map = out_shape.clone();
-    remap(t, &out_shape, move |flat| {
-        let mut c = unravel(flat, &shape_for_map);
-        c[axis] += start;
-        ravel(&c, &in_strides)
-    })
+    // an empty result reads nothing, and its start may lie past the data
+    let base = if num_elements(&out_shape) == 0 { 0 } else { start * in_strides[axis] };
+    remap(t, &out_shape, &Walk::new(&out_shape, [&in_strides]), base)
 }
 
 /// Gradient of [`slice`]: zero-pads `grad` back to `input_ref`'s shape.
@@ -308,10 +329,9 @@ pub fn slice_grad(
     let g = grad.as_f32()?;
     let out_strides = strides(input_ref.shape());
     let mut out = vec![0.0f32; input_ref.len()];
-    for (flat, &v) in g.iter().enumerate() {
-        let mut c = unravel(flat, grad.shape());
-        c[axis] += start;
-        out[ravel(&c, &out_strides)] = v;
+    if !g.is_empty() {
+        let walk = Walk::new(grad.shape(), [&out_strides]);
+        scatter(g, &walk, &mut out[start * out_strides[axis]..], |slot, v| *slot = v);
     }
     Tensor::from_vec(out, input_ref.shape())
 }
@@ -325,14 +345,8 @@ pub fn tile(t: &Tensor, reps: &[usize]) -> Result<Tensor> {
         return Err(tensor_err!("tile repetitions must be positive"));
     }
     let out_shape: Vec<usize> = t.shape().iter().zip(reps).map(|(d, r)| d * r).collect();
-    let in_shape = t.shape().to_vec();
-    let in_strides = strides(&in_shape);
-    let shape_for_map = out_shape.clone();
-    remap(t, &out_shape, move |flat| {
-        let oc = unravel(flat, &shape_for_map);
-        let ic: Vec<usize> = oc.iter().zip(&in_shape).map(|(&c, &d)| c % d).collect();
-        ravel(&ic, &in_strides)
-    })
+    let (split, st) = tile_axes(t.shape(), reps);
+    remap(t, &out_shape, &Walk::new(&split, [&st]), 0)
 }
 
 /// Gradient of [`tile`]: sums all repeats back onto the input shape.
@@ -344,14 +358,9 @@ pub fn tile_grad(grad: &Tensor, input_ref: &Tensor, reps: &[usize]) -> Result<Te
     if grad.shape() != expect.as_slice() {
         return Err(tensor_err!("tile_grad: grad shape {:?} expected {:?}", grad.shape(), expect));
     }
-    let g = grad.as_f32()?;
-    let in_strides = strides(input_ref.shape());
+    let (split, st) = tile_axes(input_ref.shape(), reps);
     let mut out = vec![0.0f32; input_ref.len()];
-    for (flat, &v) in g.iter().enumerate() {
-        let oc = unravel(flat, grad.shape());
-        let ic: Vec<usize> = oc.iter().zip(input_ref.shape()).map(|(&c, &d)| c % d).collect();
-        out[ravel(&ic, &in_strides)] += v;
-    }
+    scatter(grad.as_f32()?, &Walk::new(&split, [&st]), &mut out, |slot, v| *slot += v);
     Tensor::from_vec(out, input_ref.shape())
 }
 
@@ -486,5 +495,37 @@ mod tests {
         // not a broadcast
         let bad = t(&[0.0, 0.0], &[2]);
         assert!(reduce_to_like(&g, &bad).is_err());
+    }
+
+    /// The learner's bias gradients: conv `[b,o,h,w] -> [o,1,1]`, dense
+    /// `[b,o] -> [o]`, a scalar target, and the same-shape identity. Small
+    /// integers keep every partial sum exact, so equality is exact.
+    #[test]
+    fn reduce_to_like_bias_gradients() {
+        let (b, o, h, w) = (2, 3, 2, 2);
+        let g = t(&(0..b * o * h * w).map(|v| v as f32).collect::<Vec<_>>(), &[b, o, h, w]);
+        let channel_sums: Vec<f32> = (0..o)
+            .map(|c| {
+                (0..b).flat_map(|i| (0..h * w).map(move |p| ((i * o + c) * h * w + p) as f32)).sum()
+            })
+            .collect();
+        let conv_bias = reduce_to_like(&g, &Tensor::ones(&[o, 1, 1])).unwrap();
+        assert_eq!(conv_bias.shape(), &[o, 1, 1]);
+        assert_eq!(conv_bias.as_f32().unwrap(), channel_sums);
+
+        let scalar = reduce_to_like(&g, &Tensor::scalar(0.0)).unwrap();
+        assert_eq!(scalar.shape(), &[] as &[usize]);
+        assert_eq!(scalar.scalar_value().unwrap(), (0..24).sum::<i32>() as f32);
+
+        let dense =
+            t(&[1.0, 2.0, 3.0, 10.0, 20.0, 30.0, 100.0, 200.0, 300.0, 0.5, 0.5, 0.5], &[4, 3]);
+        let dense_bias = reduce_to_like(&dense, &Tensor::ones(&[3])).unwrap();
+        assert_eq!(dense_bias.shape(), &[3]);
+        assert_eq!(dense_bias.as_f32().unwrap(), &[111.5, 222.5, 333.5]);
+
+        assert_eq!(reduce_to_like(&g, &Tensor::ones(&[b, o, h, w])).unwrap(), g);
+        // larger-rank and mismatched targets are rejected
+        assert!(reduce_to_like(&dense, &g).is_err());
+        assert!(reduce_to_like(&g, &Tensor::ones(&[4, 1, 1])).is_err());
     }
 }

@@ -1,4 +1,4 @@
-//! Shape arithmetic: strides, broadcasting, and index iteration.
+//! Shape arithmetic: strides, broadcasting, and the shared stride walk.
 
 use crate::{tensor_err, Result};
 
@@ -59,20 +59,131 @@ pub fn broadcast_strides(from: &[usize], to: &[usize]) -> Vec<usize> {
     out
 }
 
-/// Converts a flat index in `shape` into its multi-dimensional coordinates.
-pub fn unravel(mut flat: usize, shape: &[usize]) -> Vec<usize> {
-    let st = strides(shape);
-    let mut coords = vec![0usize; shape.len()];
-    for i in 0..shape.len() {
-        coords[i] = flat / st[i];
-        flat %= st[i];
-    }
-    coords
+/// One stride walk over a row-major index space, shared by every kernel
+/// that reads or writes `N` operands through per-axis strides: broadcasts
+/// (stride 0 on expanded axes), reductions onto a broadcast target,
+/// permutations, slices and tiles.
+///
+/// Construction drops size-1 axes and collapses adjacent axes that every
+/// operand steps through contiguously, so a same-shape or suffix broadcast
+/// becomes one run and `[b,o,h,w]` against `[o,1,1]` becomes three axes.
+/// [`Walk::for_each_run`] then visits the space in ascending flat order as
+/// runs along the innermost collapsed axis, carrying each operand's offset
+/// with an odometer: no allocation, division or modulo per element, and
+/// the run bodies are plain strided loops the compiler can vectorise.
+///
+/// The visiting order is exactly the flat order of the space, so a kernel
+/// that accumulates inside the callback keeps the per-element accumulation
+/// order of a linear scan.
+#[derive(Debug)]
+pub struct Walk<const N: usize> {
+    /// collapsed axes outside the run, outermost first: size and the
+    /// per-operand stride
+    outer: Vec<(usize, [usize; N])>,
+    /// length of the innermost collapsed axis
+    inner: usize,
+    /// per-operand stride along the innermost axis
+    steps: [usize; N],
 }
 
-/// Dot product of coordinates with strides (flat offset).
-pub fn ravel(coords: &[usize], strides: &[usize]) -> usize {
-    coords.iter().zip(strides).map(|(c, s)| c * s).sum()
+impl<const N: usize> Walk<N> {
+    /// A walk over `shape` where operand `k` moves by `strides[k][d]`
+    /// elements per step along axis `d`.
+    pub fn new(shape: &[usize], strides: [&[usize]; N]) -> Self {
+        debug_assert!(strides.iter().all(|s| s.len() == shape.len()));
+        let mut outer = Vec::new();
+        // the group being grown, innermost axis first: (size, strides)
+        let mut group: Option<(usize, [usize; N])> = None;
+        for d in (0..shape.len()).rev() {
+            if shape[d] == 1 {
+                continue;
+            }
+            let at: [usize; N] = std::array::from_fn(|k| strides[k][d]);
+            match &mut group {
+                Some((size, st)) if (0..N).all(|k| at[k] == st[k] * *size) => *size *= shape[d],
+                Some(done) => {
+                    outer.push(*done);
+                    *done = (shape[d], at);
+                }
+                None => group = Some((shape[d], at)),
+            }
+        }
+        // the first finished group is the innermost axis; a space with no
+        // axis of size > 1 is one run of one element
+        let (inner, steps) =
+            if outer.is_empty() { group.take().unwrap_or((1, [0; N])) } else { outer.remove(0) };
+        outer.extend(group);
+        outer.reverse();
+        Walk { outer, inner, steps }
+    }
+
+    /// A walk over `out_shape` reading each of `shapes` as if broadcast to
+    /// it; every shape must be broadcastable to `out_shape`. Broadcast
+    /// operands always get an inner step of 0 or 1.
+    pub fn broadcast(out_shape: &[usize], shapes: [&[usize]; N]) -> Self {
+        let strides: [Vec<usize>; N] =
+            std::array::from_fn(|k| broadcast_strides(shapes[k], out_shape));
+        Walk::new(out_shape, std::array::from_fn(|k| strides[k].as_slice()))
+    }
+
+    /// Each operand's stride along a run.
+    pub fn steps(&self) -> [usize; N] {
+        self.steps
+    }
+
+    /// Visits the flat range `[start, end)` of the space in ascending
+    /// order, calling `f(flat, len, offsets)` once per run: `flat` is the
+    /// flat index of the run's first element, `len` its length, and
+    /// element `i` of the run sits at `offsets[k] + i * steps()[k]` in
+    /// operand `k`. A range boundary may split a run; the pieces are
+    /// visited as separate, shorter runs.
+    pub fn for_each_run(
+        &self,
+        start: usize,
+        end: usize,
+        mut f: impl FnMut(usize, usize, [usize; N]),
+    ) {
+        if start >= end {
+            return;
+        }
+        // position the odometer once per range
+        let mut idx = vec![0usize; self.outer.len()];
+        let mut offs = [0usize; N];
+        let mut rem = start / self.inner;
+        let mut within = start % self.inner;
+        for (i, &(size, st)) in idx.iter_mut().zip(&self.outer).rev() {
+            *i = rem % size;
+            rem /= size;
+            for k in 0..N {
+                offs[k] += *i * st[k];
+            }
+        }
+        let mut flat = start;
+        loop {
+            let len = (self.inner - within).min(end - flat);
+            f(flat, len, std::array::from_fn(|k| offs[k] + within * self.steps[k]));
+            flat += len;
+            if flat >= end {
+                return;
+            }
+            within = 0;
+            // `flat < end` means another run exists, so the carry stops
+            // before it runs off the outermost axis
+            for (i, &(size, st)) in idx.iter_mut().zip(&self.outer).rev() {
+                *i += 1;
+                for k in 0..N {
+                    offs[k] += st[k];
+                }
+                if *i < size {
+                    break;
+                }
+                *i = 0;
+                for k in 0..N {
+                    offs[k] -= size * st[k];
+                }
+            }
+        }
+    }
 }
 
 /// Resolves a shape spec that may contain a single `-1` wildcard against a
@@ -166,14 +277,74 @@ mod tests {
         assert_eq!(broadcast_strides(&[2, 1], &[2, 4]), vec![1, 0]);
     }
 
+    /// Every element a walk visits, as (flat, per-operand offset).
+    fn visited<const N: usize>(
+        walk: &Walk<N>,
+        start: usize,
+        end: usize,
+    ) -> Vec<(usize, [usize; N])> {
+        let steps = walk.steps();
+        let mut out = Vec::new();
+        walk.for_each_run(start, end, |flat, len, offs| {
+            for i in 0..len {
+                out.push((flat + i, std::array::from_fn(|k| offs[k] + i * steps[k])));
+            }
+        });
+        out
+    }
+
+    /// The offsets a per-element divide/modulo decomposition gives.
+    fn expected<const N: usize>(
+        shape: &[usize],
+        strides: [&[usize]; N],
+    ) -> Vec<(usize, [usize; N])> {
+        let st = super::strides(shape);
+        (0..num_elements(shape))
+            .map(|flat| {
+                let off = std::array::from_fn(|k| {
+                    (0..shape.len()).map(|d| (flat / st[d]) % shape[d] * strides[k][d]).sum()
+                });
+                (flat, off)
+            })
+            .collect()
+    }
+
     #[test]
-    fn unravel_ravel_roundtrip() {
-        let shape = [2, 3, 4];
-        let st = strides(&shape);
-        for flat in 0..num_elements(&shape) {
-            let coords = unravel(flat, &shape);
-            assert_eq!(ravel(&coords, &st), flat);
+    fn walk_collapses_contiguous_axes() {
+        // same shape: one run, both operands step by one
+        let w = Walk::broadcast(&[2, 3, 4], [&[2, 3, 4], &[2, 3, 4]]);
+        assert_eq!((w.outer.len(), w.inner, w.steps), (0, 24, [1, 1]));
+        // suffix broadcast: the bias repeats along one collapsed lead axis
+        let w = Walk::broadcast(&[2, 3, 4], [&[2, 3, 4], &[4]]);
+        assert_eq!((w.outer.clone(), w.inner, w.steps), (vec![(6, [4, 0])], 4, [1, 1]));
+        // conv bias [o,1,1] against [b,o,h,w]: h and w collapse
+        let w = Walk::broadcast(&[2, 3, 4, 5], [&[2, 3, 4, 5], &[3, 1, 1]]);
+        assert_eq!(
+            (w.outer.clone(), w.inner, w.steps),
+            (vec![(2, [60, 0]), (3, [20, 1])], 20, [1, 0])
+        );
+        // scalars and all-ones shapes are one run of one element
+        let w = Walk::broadcast(&[1, 1], [&[], &[1, 1]]);
+        assert_eq!((w.outer.len(), w.inner, w.steps), (0, 1, [0, 0]));
+    }
+
+    #[test]
+    fn walk_visits_flat_order_with_strided_offsets() {
+        let shape = [2, 3, 1, 4];
+        let sa = broadcast_strides(&[3, 1, 1], &shape);
+        let sb = broadcast_strides(&[2, 1, 1, 4], &shape);
+        // a permutation's strides are neither 0 nor contiguous
+        let sp = [1, 8, 0, 2];
+        let walk = Walk::new(&shape, [&sa, &sb, &sp]);
+        let want = expected(&shape, [&sa, &sb, &sp]);
+        assert_eq!(visited(&walk, 0, 24), want);
+        // ranges that split runs and start mid-space
+        for (start, end) in [(0, 0), (1, 2), (3, 11), (5, 24), (23, 24)] {
+            assert_eq!(visited(&walk, start, end), want[start..end]);
         }
+        // a zero-size axis leaves nothing to visit
+        let empty = Walk::broadcast(&[2, 0, 3], [&[2, 0, 3], &[3]]);
+        assert!(visited(&empty, 0, 0).is_empty());
     }
 
     #[test]

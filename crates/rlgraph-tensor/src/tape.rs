@@ -315,11 +315,11 @@ mod tests {
         let grads = tape.backward(l).unwrap();
         let ana = grads[&xi].as_f32().unwrap().to_vec();
         let eps = 1e-3f32;
-        for i in 0..5 {
+        for (i, &a) in ana.iter().enumerate().take(5) {
             let mut xp = x0.clone();
             xp.as_f32_mut().unwrap()[i] += eps;
             let num = (f(&xp) - f(&x0)) / eps;
-            assert!((num - ana[i]).abs() < 1e-2, "index {}: {} vs {}", i, num, ana[i]);
+            assert!((num - a).abs() < 1e-2, "index {}: {} vs {}", i, num, a);
         }
     }
 

@@ -135,6 +135,36 @@ fn thread_count_is_bit_invisible() {
     pool::set_threads(None);
 }
 
+/// The same contract for GEMMs and convs large enough to cross the pool's
+/// work cut-off (16 Mi flops; these are 25 M and 19 M), where the row loop
+/// and conv's batch loop really are split across threads.
+#[test]
+fn thread_count_is_bit_invisible_above_the_dispatch_cutoff() {
+    let a = rng_tensor(&[256, 192], 41);
+    let b = rng_tensor(&[192, 256], 42);
+    let x = rng_tensor(&[8, 16, 16, 16], 43);
+    let f = rng_tensor(&[32, 16, 3, 3], 44);
+    let g = rng_tensor(&[8, 32, 16, 16], 45);
+
+    let run = || {
+        [
+            gemm::matmul_nn(&a, &b).unwrap(),
+            conv::conv2d_im2col(&x, &f, 1, 1).unwrap(),
+            conv::conv2d_backprop_input_im2col(&f, &g, &x, 1, 1).unwrap(),
+            conv::conv2d_backprop_filter_im2col(&x, &g, &f, 1, 1).unwrap(),
+        ]
+    };
+    pool::set_threads(Some(1));
+    let base = run();
+    for threads in [2usize, 8] {
+        pool::set_threads(Some(threads));
+        for (got, want) in run().iter().zip(&base) {
+            assert_bits_eq(got, want, &format!("{:?} @ {threads} threads", want.shape()));
+        }
+    }
+    pool::set_threads(None);
+}
+
 /// The fused bias+activation op and its gradients are bit-identical to the
 /// unfused `Add` + activation pair, forward and backward.
 #[test]
@@ -164,7 +194,7 @@ fn fused_bias_activation_matches_unfused_grads() {
         }
         let g2 = t2.backward(y2).unwrap();
 
-        assert_bits_eq(&t1.value(y1), &t2.value(y2), &format!("{fused:?} forward"));
+        assert_bits_eq(t1.value(y1), t2.value(y2), &format!("{fused:?} forward"));
         assert_bits_eq(&g1[&x1], &g2[&x2], &format!("{fused:?} grad wrt x"));
         assert_bits_eq(&g1[&b1], &g2[&b2], &format!("{fused:?} grad wrt bias"));
     }

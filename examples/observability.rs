@@ -39,7 +39,7 @@ fn main() -> rlgraph_core::Result<()> {
                 T::stack(&[obs]).expect("batch"),
                 T::stack(&[action]).expect("batch"),
                 T::from_vec(vec![step.reward], &[1]).expect("shape"),
-                T::stack(&[step.obs.clone()]).expect("batch"),
+                T::stack(std::slice::from_ref(&step.obs)).expect("batch"),
                 T::from_vec_bool(vec![step.terminal], &[1]).expect("shape"),
             )?;
             agent.update()?;

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate: release build, the workspace test suite, the serving and
 # multi-process examples, the three scale-bench smokes (chaos, elastic,
-# c10k), rustdoc and clippy (deny warnings), rustfmt. Prints the elapsed
+# c10k), rustdoc and clippy over all targets (deny warnings), rustfmt. Prints the elapsed
 # seconds of every step and of the whole gate. Performance is not
 # measured here: the one ruler is crates/benchmark/run.sh (BENCHMARK.json).
 #
@@ -63,7 +63,8 @@ step c10k_bench timeout 300 cargo "${CONFIG[@]}" run --release "${OFFLINE[@]}" -
 # The redesigned public API must stay documented: fail on rustdoc warnings.
 step doc env RUSTDOCFLAGS="-D warnings" cargo "${CONFIG[@]}" doc --no-deps "${OFFLINE[@]}" --workspace
 
-# clippy is an external subcommand: the --config override must come after it
-step clippy cargo clippy "${CONFIG[@]}" --workspace "${OFFLINE[@]}" -- -D warnings
+# clippy is an external subcommand: the --config override must come after
+# it. --all-targets lints the tests, examples and bench binaries too.
+step clippy cargo clippy "${CONFIG[@]}" --workspace --all-targets "${OFFLINE[@]}" -- -D warnings
 step fmt cargo fmt --check
 echo "tier1: all checks passed in ${SECONDS} s"

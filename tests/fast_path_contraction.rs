@@ -61,7 +61,7 @@ fn contracted_replay_matches_traced_execution() {
     // First call records; later calls replay.
     for round in 0..6 {
         let x = Tensor::rand_uniform(&[4, 5], -1.0, 1.0, &mut rng);
-        let a = traced.execute("act", &[x.clone()]).unwrap();
+        let a = traced.execute("act", std::slice::from_ref(&x)).unwrap();
         let b = fast.execute("act", &[x]).unwrap();
         assert_eq!(a[0], b[0], "divergence at round {}", round);
     }
@@ -73,10 +73,10 @@ fn contraction_eliminates_component_dispatch() {
     let mut fast = build_exec();
     fast.enable_fast_path("act");
     let x = Tensor::full(&[2, 5], 0.5);
-    fast.execute("act", &[x.clone()]).unwrap(); // records
+    fast.execute("act", std::slice::from_ref(&x)).unwrap(); // records
     let (api_before, fn_before) = fast.dispatch_counters();
     for _ in 0..10 {
-        fast.execute("act", &[x.clone()]).unwrap();
+        fast.execute("act", std::slice::from_ref(&x)).unwrap();
     }
     let (api_after, fn_after) = fast.dispatch_counters();
     assert_eq!(api_before, api_after, "replay must not route api calls");

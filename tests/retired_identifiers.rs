@@ -75,3 +75,21 @@ fn retired_identifiers_stay_retired() {
         }
     }
 }
+
+/// The tensor kernels address their operands through `shape::Walk` — one
+/// odometer per op, contiguous inner runs. The per-element coordinate
+/// decomposition it replaced (a divide, a modulo and two allocations per
+/// element) survives only as the oracle in
+/// `crates/rlgraph-tensor/tests/broadcast_walk.rs`.
+#[test]
+fn kernels_do_not_decompose_indices_per_element() {
+    let kernels = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/rlgraph-tensor/src/kernels");
+    let mut files = Vec::new();
+    rust_files(&kernels, &mut files);
+    assert!(files.len() >= 10, "the walk found only {} kernel files", files.len());
+    let call = ["unrav", "el("].concat();
+    for path in &files {
+        let text = std::fs::read_to_string(path).expect("source file");
+        assert!(!text.contains(&call), "{} calls {call}", path.display());
+    }
+}

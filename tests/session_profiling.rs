@@ -30,7 +30,7 @@ fn one_session_run_per_api_request() {
     let states = Tensor::full(&[2, 4], 0.5);
     use rlgraph_core::GraphExecutor as _;
     for i in 1..=5u64 {
-        exec.execute("get_actions", &[states.clone()]).unwrap();
+        exec.execute("get_actions", std::slice::from_ref(&states)).unwrap();
         assert_eq!(exec.session().stats().runs, i, "each request must be one run call");
     }
 }
