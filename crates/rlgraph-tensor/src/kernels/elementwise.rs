@@ -6,7 +6,7 @@
 //! results are bit-identical for any thread count.
 
 use super::{FusedAct, OpKind};
-use crate::shape::{broadcast_shapes, num_elements, Walk};
+use crate::shape::{broadcast_shapes, broadcast_strides, num_elements, ravel, unravel, Walk};
 use crate::{tensor_err, DType, Result, Tensor};
 
 /// Below this many output elements the dispatch overhead is not worth it.
@@ -23,48 +23,53 @@ fn fill_f32(out: &mut [f32], f: impl Fn(usize, &mut [f32]) + Sync) {
     }
 }
 
+/// `true` when `small` is a trailing-dim match of `big`, i.e. the broadcast
+/// just repeats `small` along the flattened output.
+fn is_suffix(small: &[usize], big: &[usize]) -> bool {
+    small.len() <= big.len() && big[big.len() - small.len()..] == *small
+}
+
 /// Applies `f` over broadcast f32 inputs.
 ///
-/// Same-shape, suffix and scalar operands collapse to a single run of the
-/// [`Walk`]; every other broadcast becomes runs in which each operand either
-/// advances with the output or stays put, so all of them share these loops.
+/// Not on the [`Walk`] yet: a broadcast that is neither same-shape nor a
+/// suffix (a conv bias, `[b,o,h,w] + [o,1,1]`) decomposes every flat index.
+/// ROADMAP item 1 has the routed version and why it lands on its own.
 fn zip_f32(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync) -> Result<Tensor> {
     let (av, bv) = (coerce_f32(a)?, coerce_f32(b)?);
     let out_shape = broadcast_shapes(a.shape(), b.shape())?;
-    let walk = Walk::broadcast(&out_shape, [a.shape(), b.shape()]);
-    let steps = walk.steps();
-    let mut out = vec![0.0f32; num_elements(&out_shape)];
-    fill_f32(&mut out, |start, chunk| {
-        walk.for_each_run(start, start + chunk.len(), |flat, len, [oa, ob]| {
-            let o = &mut chunk[flat - start..][..len];
-            match steps {
-                [1, 1] => {
-                    for ((o, &x), &y) in o.iter_mut().zip(&av[oa..oa + len]).zip(&bv[ob..ob + len])
-                    {
-                        *o = f(x, y);
-                    }
-                }
-                [1, 0] => {
-                    let y = bv[ob];
-                    for (o, &x) in o.iter_mut().zip(&av[oa..oa + len]) {
-                        *o = f(x, y);
-                    }
-                }
-                [0, 1] => {
-                    let x = av[oa];
-                    for (o, &y) in o.iter_mut().zip(&bv[ob..ob + len]) {
-                        *o = f(x, y);
-                    }
-                }
-                // broadcasts only reach here for a one-element space
-                [sa, sb] => {
-                    for (i, o) in o.iter_mut().enumerate() {
-                        *o = f(av[oa + i * sa], bv[ob + i * sb]);
-                    }
-                }
+    let n = num_elements(&out_shape);
+    let mut out = vec![0.0f32; n];
+    if a.shape() == b.shape() {
+        fill_f32(&mut out, |start, chunk| {
+            for (i, o) in chunk.iter_mut().enumerate() {
+                *o = f(av[start + i], bv[start + i]);
             }
         });
-    });
+    } else if is_suffix(b.shape(), a.shape()) && !bv.is_empty() {
+        // common dense-layer case: bias repeated along leading dims
+        let lane = bv.len();
+        fill_f32(&mut out, |start, chunk| {
+            for (i, o) in chunk.iter_mut().enumerate() {
+                *o = f(av[start + i], bv[(start + i) % lane]);
+            }
+        });
+    } else if is_suffix(a.shape(), b.shape()) && !av.is_empty() {
+        let lane = av.len();
+        fill_f32(&mut out, |start, chunk| {
+            for (i, o) in chunk.iter_mut().enumerate() {
+                *o = f(av[(start + i) % lane], bv[start + i]);
+            }
+        });
+    } else {
+        let sa = broadcast_strides(a.shape(), &out_shape);
+        let sb = broadcast_strides(b.shape(), &out_shape);
+        fill_f32(&mut out, |start, chunk| {
+            for (i, o) in chunk.iter_mut().enumerate() {
+                let coords = unravel(start + i, &out_shape);
+                *o = f(av[ravel(&coords, &sa)], bv[ravel(&coords, &sb)]);
+            }
+        });
+    }
     Tensor::from_vec(out, &out_shape)
 }
 

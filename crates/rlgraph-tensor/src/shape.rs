@@ -59,6 +59,26 @@ pub fn broadcast_strides(from: &[usize], to: &[usize]) -> Vec<usize> {
     out
 }
 
+/// Converts a flat index in `shape` into its multi-dimensional coordinates.
+///
+/// Allocates twice per call. The kernels address their operands through
+/// [`Walk`] instead; the two still on this path are named in
+/// `tests/retired_identifiers.rs`.
+pub fn unravel(mut flat: usize, shape: &[usize]) -> Vec<usize> {
+    let st = strides(shape);
+    let mut coords = vec![0usize; shape.len()];
+    for i in 0..shape.len() {
+        coords[i] = flat / st[i];
+        flat %= st[i];
+    }
+    coords
+}
+
+/// Dot product of coordinates with strides (flat offset).
+pub fn ravel(coords: &[usize], strides: &[usize]) -> usize {
+    coords.iter().zip(strides).map(|(c, s)| c * s).sum()
+}
+
 /// One stride walk over a row-major index space, shared by every kernel
 /// that reads or writes `N` operands through per-axis strides: broadcasts
 /// (stride 0 on expanded axes), reductions onto a broadcast target,

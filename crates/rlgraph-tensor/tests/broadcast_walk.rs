@@ -7,6 +7,10 @@
 //! ranks 0–5 with size-1 axes, leading-axis broadcasts, scalar operands,
 //! both operand orders, zero-element tensors, and parallel chunk boundaries
 //! that split an inner run.
+//!
+//! The f32 maps (`binary`, f32 `compare`, `bias_activation`) and
+//! `reduce_to_like` are compared too, although they still are the old loop:
+//! the comparison is what the change that routes them has to keep passing.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;

@@ -77,12 +77,14 @@ fn retired_identifiers_stay_retired() {
 }
 
 /// The tensor kernels address their operands through `shape::Walk` — one
-/// odometer per op, contiguous inner runs. The per-element coordinate
-/// decomposition it replaced (a divide, a modulo and two allocations per
-/// element) survives only as the oracle in
-/// `crates/rlgraph-tensor/tests/broadcast_walk.rs`.
+/// odometer per op, contiguous inner runs — not by decomposing every flat
+/// index (a divide, a modulo and two allocations per element). Two kernels
+/// are still to be routed, each in a change of its own (ROADMAP item 1 says
+/// why): the list below may only shrink.
 #[test]
 fn kernels_do_not_decompose_indices_per_element() {
+    const NOT_YET_ROUTED: [(&str, &str); 2] =
+        [("elementwise.rs", "zip_f32"), ("shape_ops.rs", "reduce_to_like")];
     let kernels = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/rlgraph-tensor/src/kernels");
     let mut files = Vec::new();
     rust_files(&kernels, &mut files);
@@ -90,6 +92,13 @@ fn kernels_do_not_decompose_indices_per_element() {
     let call = ["unrav", "el("].concat();
     for path in &files {
         let text = std::fs::read_to_string(path).expect("source file");
-        assert!(!text.contains(&call), "{} calls {call}", path.display());
+        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or_default();
+        let allowed = NOT_YET_ROUTED.iter().filter(|(file, _)| *file == name).count();
+        assert_eq!(
+            text.matches(&call).count(),
+            allowed,
+            "{} calls {call}; only {NOT_YET_ROUTED:?} may, once each",
+            path.display()
+        );
     }
 }
