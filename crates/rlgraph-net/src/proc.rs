@@ -157,19 +157,24 @@ fn parse_addr(s: &str) -> RlResult<SocketAddr> {
         .map_err(|e| RlError::Protocol(format!("bad socket address {:?}: {}", s, e)))
 }
 
-fn connect_retrying<T>(mut connect: impl FnMut() -> RlResult<T>, what: &str) -> RlResult<T> {
-    // Generous because a freshly forked sibling may still be binding.
-    let mut last = None;
-    for _ in 0..50 {
+fn connect_retrying<T>(mut connect: impl FnMut() -> RlResult<T>) -> RlResult<T> {
+    // Generous because a freshly forked sibling may still be binding:
+    // 5 s of sleeps, short at first so a sibling that is already up
+    // costs a millisecond, not a tick.
+    const BUDGET: Duration = Duration::from_secs(5);
+    const MAX_DELAY: Duration = Duration::from_millis(100);
+    let mut delay = Duration::from_millis(1);
+    let mut slept = Duration::ZERO;
+    loop {
         match connect() {
             Ok(t) => return Ok(t),
-            Err(e) => {
-                last = Some(e);
-                std::thread::sleep(Duration::from_millis(100));
-            }
+            Err(e) if slept >= BUDGET => return Err(e),
+            Err(_) => {}
         }
+        std::thread::sleep(delay);
+        slept += delay;
+        delay = (delay * 2).min(MAX_DELAY);
     }
-    Err(last.unwrap_or_else(|| RlError::disconnected(what)))
 }
 
 /// The worker main loop: sync weights from the coordinator, collect,
@@ -205,10 +210,8 @@ pub fn run_worker(spec: &WorkerSpec) -> RlResult<()> {
 
 fn run_worker_inner(spec: &WorkerSpec, recorder: &Recorder) -> RlResult<()> {
     let deadline = (spec.rpc_deadline_ms > 0).then(|| Duration::from_millis(spec.rpc_deadline_ms));
-    let mut coord = connect_retrying(
-        || CoordClient::connect(parse_addr(&spec.coord_addr)?, recorder),
-        "coordinator",
-    )?;
+    let mut coord =
+        connect_retrying(|| CoordClient::connect(parse_addr(&spec.coord_addr)?, recorder))?;
     coord.set_deadline(deadline);
     // Compression off is the clients' default `CodecProfile::PLAIN`:
     // exact encodings and no frame-layer LZ.
@@ -217,10 +220,9 @@ fn run_worker_inner(spec: &WorkerSpec, recorder: &Recorder) -> RlResult<()> {
     }
     let mut shards = Vec::with_capacity(spec.shard_addrs.len());
     for (i, addr) in spec.shard_addrs.iter().enumerate() {
-        let mut c = connect_retrying(
-            || ShardClient::connect(&format!("shard-{}", i), parse_addr(addr)?, recorder),
-            "replay shard",
-        )?;
+        let mut c = connect_retrying(|| {
+            ShardClient::connect(&format!("shard-{}", i), parse_addr(addr)?, recorder)
+        })?;
         c.set_deadline(deadline);
         if spec.compression {
             c.set_codec(crate::codec::CodecProfile::COMPRESSED);

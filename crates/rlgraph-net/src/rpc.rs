@@ -57,7 +57,7 @@ use rlgraph_obs::{ContextScope, Recorder, TraceContext};
 use rlgraph_reactor::sys;
 use std::collections::HashMap;
 use std::io::Read;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -70,8 +70,10 @@ use std::time::{Duration, Instant};
 pub use rlgraph_reactor::service::RpcService;
 
 /// How often blocked server threads surface from the kernel to check
-/// the stop flag. Each check is a `poll(2)` timeout — a real kernel
-/// sleep, not a spin — so the cost of liveness is ~10 wakeups/s.
+/// the idle reaper (and, as a fallback, the stop flag). Each check is a
+/// `poll(2)` timeout — a real kernel sleep, not a spin — so the cost of
+/// liveness is ~10 wakeups/s. Shutdown does not wait a tick out: it
+/// wakes every sleeper through its socket ([`RpcServer::shutdown`]).
 const STOP_CHECK_TICK: Duration = Duration::from_millis(100);
 
 /// `Read` adapter that sleeps in `poll(2)` until bytes arrive, exiting
@@ -219,6 +221,10 @@ impl RpcServer {
     }
 
     /// Stops accepting, unblocks handler threads, and joins them all.
+    /// Nothing sleeps a tick out: a connection to the server's own
+    /// address wakes the accept loop, which ends every open connection's
+    /// read side to wake its handler. A handler busy in a call still
+    /// writes its reply before it sees the end of its stream.
     pub fn shutdown(mut self) {
         self.shutdown_inner();
     }
@@ -226,6 +232,9 @@ impl RpcServer {
     fn shutdown_inner(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
         if let Some(h) = self.accept_handle.take() {
+            // Never accepted (the loop checks the flag first); should the
+            // connect fail, the loop still surfaces within a tick.
+            let _ = TcpStream::connect_timeout(&self.addr, STOP_CHECK_TICK);
             let _ = h.join();
         }
     }
@@ -251,7 +260,8 @@ fn accept_loop(
     // This thread's own CPU consumption, published so tests (and
     // operators) can see that an idle server sleeps instead of spinning.
     let accept_cpu = recorder.gauge("net.server.accept_cpu_us");
-    let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
+    // Each handler with its connection, kept to wake it at shutdown.
+    let mut handlers: Vec<(std::thread::JoinHandle<()>, Arc<TcpStream>)> = Vec::new();
     while !stop.load(Ordering::Relaxed) {
         accept_cpu.set(sys::thread_cpu_time().as_micros() as f64);
         // Sleep in poll(2) until a peer arrives or a tick elapses — the
@@ -259,14 +269,20 @@ fn accept_loop(
         match sys::wait_readable(listener.as_raw_fd(), Some(STOP_CHECK_TICK)) {
             Ok(true) => {}
             Ok(false) => {
-                handlers.retain(|h| !h.is_finished());
+                handlers.retain(|(h, _)| !h.is_finished());
                 continue;
             }
             Err(_) => break,
         }
+        // Shutdown's wake is a connection too: not a peer, not counted.
+        if stop.load(Ordering::Relaxed) {
+            break;
+        }
         match listener.accept() {
             Ok((stream, _peer)) => {
                 conns.inc();
+                let stream = Arc::new(stream);
+                let conn = stream.clone();
                 conns_open.add(1.0);
                 let service = service.clone();
                 let stop = stop.clone();
@@ -279,13 +295,16 @@ fn accept_loop(
                     .name(format!("rpc-conn-{}", svc_name))
                     .spawn(move || {
                         let _open = open_dec;
-                        connection_loop(stream, service, stop, recorder, svc_name, idle, reaped);
+                        connection_loop(&stream, service, stop, recorder, svc_name, idle, reaped);
+                        // The accept loop holds the socket open until it
+                        // next looks: close it for the peer now.
+                        let _ = stream.shutdown(Shutdown::Both);
                     });
                 // On thread exhaustion the connection is dropped (the
                 // GaugeDec moved into the failed closure already
                 // rebalanced the gauge) and the server keeps serving.
                 if let Ok(handle) = spawned {
-                    handlers.push(handle);
+                    handlers.push((handle, conn));
                 }
             }
             Err(e)
@@ -295,9 +314,14 @@ fn accept_loop(
                 ) => {}
             Err(_) => break,
         }
-        handlers.retain(|h| !h.is_finished());
+        handlers.retain(|(h, _)| !h.is_finished());
     }
-    for h in handlers {
+    // Wake the handlers asleep in `poll`: their reads see end of stream.
+    // Only the read side ends, so a reply in flight is still written.
+    for (_, conn) in &handlers {
+        let _ = conn.shutdown(Shutdown::Read);
+    }
+    for (h, _) in handlers {
         let _ = h.join();
     }
     conns_open.set(0.0);
@@ -305,7 +329,7 @@ fn accept_loop(
 
 #[allow(clippy::too_many_arguments)]
 fn connection_loop(
-    stream: TcpStream,
+    stream: &TcpStream,
     service: Arc<dyn RpcService>,
     stop: Arc<AtomicBool>,
     recorder: Recorder,
@@ -322,7 +346,7 @@ fn connection_loop(
     loop {
         // The idle clock re-arms per frame: quiet *between* requests is
         // reapable, a slow sender mid-frame is not.
-        let mut reader = StopReader::new(&stream, &stop, idle_timeout);
+        let mut reader = StopReader::new(stream, &stop, idle_timeout);
         let (kind, payload, lz) = match read_frame_info_metered(&mut reader, &meter) {
             Ok(f) => (f.kind, f.payload, f.lz_ok),
             // EOF, reset, stop, idle reap: the connection is done either
@@ -386,7 +410,7 @@ fn connection_loop(
         }
         // Compressed iff the request carried the LZ hint.
         let write = write_frame_lz_metered(
-            &mut &stream,
+            &mut &*stream,
             FrameKind::Response,
             &resp.into_bytes(),
             lz,

@@ -1,7 +1,7 @@
 //! The blocking server must *sleep* when idle, not spin: its stop-flag
 //! accept/read loops wait in `poll(2)` with real timeouts. These tests
-//! pin that down by reading the accept thread's own CPU clock, and
-//! exercise the idle-connection reaper.
+//! pin that down by reading the accept thread's own CPU clock, exercise
+//! the idle-connection reaper, and check that shutdown wakes the sleepers.
 
 use rlgraph_core::RlError;
 use rlgraph_net::rpc::{RpcClient, RpcServer, RpcServerConfig, RpcService};
@@ -43,6 +43,27 @@ fn idle_server_burns_no_cpu() {
         "idle accept loop burned {burned_us}us CPU over ~1s wall — busy-polling again?"
     );
     server.shutdown();
+}
+
+/// Shutdown wakes the sleepers instead of waiting their ticks out: the
+/// accept loop through a connection to itself, the handler of an idle
+/// open connection through the end of its stream. Sleeping the ticks out
+/// took 100–200 ms. The wake is not a peer: `net.server.conns` stays 1.
+#[test]
+fn shutdown_wakes_accept_loop_and_idle_handlers() {
+    let recorder = Recorder::wall();
+    let server = RpcServer::spawn("wake", Arc::new(EchoService), recorder.clone()).unwrap();
+    let mut client = RpcClient::connect("wake", server.addr(), &recorder).unwrap();
+    // after the reply both server threads go back to sleep in poll(2)
+    client.call(1, b"warm", Some(Duration::from_secs(5))).unwrap();
+
+    let t0 = Instant::now();
+    server.shutdown();
+    let took = t0.elapsed();
+    assert!(took < Duration::from_millis(50), "shutdown took {took:?} — sleeping a tick out?");
+    assert_eq!(recorder.counter("net.server.conns").value(), 1);
+    // the client finds its connection closed, not hung
+    assert!(client.call(1, b"late", Some(Duration::from_secs(2))).is_err());
 }
 
 /// Connections quiet past the configured idle timeout are closed and

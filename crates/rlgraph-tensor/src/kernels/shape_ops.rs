@@ -1,7 +1,7 @@
 //! Shape-manipulation kernels (dtype-generic): reshape, transpose, concat,
 //! stack, slice, tile, and their gradient helpers.
 
-use crate::shape::{num_elements, ravel, resolve_reshape, strides, unravel, Walk};
+use crate::shape::{num_elements, resolve_reshape, strides, Walk};
 use crate::{tensor_err, DType, Result, Tensor};
 
 /// Collects the `n` elements `walk` visits in `x`, in visiting order.
@@ -138,17 +138,8 @@ pub fn reduce_to_like(a: &Tensor, shape_ref: &Tensor) -> Result<Tensor> {
             ));
         }
     }
-    // Not on the `Walk` yet (ROADMAP item 1): every flat index is
-    // decomposed, and the output coordinate stands still where the target
-    // had size 1.
     let mut out = vec![0.0f32; num_elements(target)];
-    let t_strides = strides(target);
-    for (flat, &v) in a.as_f32()?.iter().enumerate() {
-        let coords = unravel(flat, a.shape());
-        let tc: Vec<usize> =
-            (0..rank_t).map(|i| if target[i] == 1 { 0 } else { coords[offset + i] }).collect();
-        out[ravel(&tc, &t_strides)] += v;
-    }
+    scatter(a.as_f32()?, &Walk::broadcast(a.shape(), [target]), &mut out, |slot, v| *slot += v);
     Tensor::from_vec(out, target)
 }
 

@@ -62,7 +62,7 @@ pub fn broadcast_strides(from: &[usize], to: &[usize]) -> Vec<usize> {
 /// Converts a flat index in `shape` into its multi-dimensional coordinates.
 ///
 /// Allocates twice per call. The kernels address their operands through
-/// [`Walk`] instead; the two still on this path are named in
+/// [`Walk`] instead; the one still on this path is named in
 /// `tests/retired_identifiers.rs`.
 pub fn unravel(mut flat: usize, shape: &[usize]) -> Vec<usize> {
     let st = strides(shape);

@@ -8,9 +8,9 @@
 //! both operand orders, zero-element tensors, and parallel chunk boundaries
 //! that split an inner run.
 //!
-//! The f32 maps (`binary`, f32 `compare`, `bias_activation`) and
-//! `reduce_to_like` are compared too, although they still are the old loop:
-//! the comparison is what the change that routes them has to keep passing.
+//! The f32 maps (`binary`, f32 `compare`, `bias_activation`) are compared
+//! too, although `zip_f32` still is the old loop: the comparison is what the
+//! change that routes it has to keep passing.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -503,4 +503,34 @@ fn parallel_chunks_split_inner_runs() {
         check_zip_kernels(&b, &a).unwrap();
     }
     rlgraph_tensor::pool::set_threads(None);
+}
+
+/// `reduce_to_like` at the shapes that carry the learners' time (conv and
+/// dense bias gradients), at the collapsing edge cases (suffix, kept size-1
+/// axes, scalar, middle axis, empty), and on an input above 32 Ki elements
+/// whose inner run (91) does not divide 16 Ki. Sums of many f32 depend on
+/// their order, so a walk that reorders a run shows here.
+#[test]
+fn reduce_to_like_sums_in_flat_order() {
+    const BIG: &[usize] = &[41, 9, 7, 13];
+    assert!(num_elements(BIG) >= 32 * 1024);
+    let mut rng = StdRng::seed_from_u64(18);
+    let cases: [(&[usize], &[usize]); 10] = [
+        (&[80, 16, 8, 8], &[16, 1, 1]), // IMPALA conv biases
+        (&[80, 32, 4, 4], &[32, 1, 1]),
+        (&[80, 64], &[64]), // IMPALA / DQN dense biases
+        (&[32, 64], &[1, 64]),
+        (&[20, 4], &[4]),
+        (&[20, 4], &[]),
+        (&[3, 5, 6, 7], &[5, 1, 7]),
+        (&[0, 3], &[3]),
+        (BIG, &[9, 1, 1]),
+        (BIG, &[7, 1]),
+    ];
+    for (from, target) in cases {
+        let x = f32_tensor(from, &mut rng);
+        let like = Tensor::zeros(target, DType::F32);
+        let got = forward(&OpKind::ReduceToLike, &[&x, &like]).unwrap();
+        assert!(same_bits(&got, &reduce_to_like_oracle(&x, target)), "{from:?} -> {target:?}");
+    }
 }

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 gate: release build, the workspace test suite, the serving and
 # multi-process examples, the three scale-bench smokes (chaos, elastic,
-# c10k), rustdoc and clippy over all targets (deny warnings), rustfmt. Prints the elapsed
-# seconds of every step and of the whole gate. Performance is not
+# c10k), an A/A smoke of scripts/ab.sh, rustdoc and clippy over all
+# targets (deny warnings), rustfmt. Prints the elapsed seconds of every
+# step and of the whole gate. Performance is not
 # measured here: the one ruler is crates/benchmark/run.sh (BENCHMARK.json).
 #
 # With registry access the standard invocations work directly. In the
@@ -59,6 +60,16 @@ step elastic_bench timeout 300 cargo "${CONFIG[@]}" run --release "${OFFLINE[@]}
 # herd and matches blocking latency. Hard timeout: a wedged event loop
 # must fail the gate, not hang it.
 step c10k_bench timeout 300 cargo "${CONFIG[@]}" run --release "${OFFLINE[@]}" -p bench --bin c10k_bench -- --smoke
+
+# The A/B script every perf change is measured with, as an A/A of this
+# checkout against itself (one pair, 1 s windows): it has to exit 0 and
+# report all six end-to-end metrics. Measures nothing.
+ab_smoke() {
+    local out
+    out=$(scripts/ab.sh . . serve_inproc 1 --seconds 1)
+    [ "$(grep -cE '^(setup_s|ops_per_s|env_frames_per_s|latency_p50_us|latency_p95_us|peak_rss_mb) ' <<<"$out")" -eq 6 ]
+}
+step ab_smoke ab_smoke
 
 # The redesigned public API must stay documented: fail on rustdoc warnings.
 step doc env RUSTDOCFLAGS="-D warnings" cargo "${CONFIG[@]}" doc --no-deps "${OFFLINE[@]}" --workspace

@@ -78,13 +78,12 @@ fn retired_identifiers_stay_retired() {
 
 /// The tensor kernels address their operands through `shape::Walk` — one
 /// odometer per op, contiguous inner runs — not by decomposing every flat
-/// index (a divide, a modulo and two allocations per element). Two kernels
-/// are still to be routed, each in a change of its own (ROADMAP item 1 says
+/// index (a divide, a modulo and two allocations per element). One kernel
+/// is still to be routed, in a change of its own (ROADMAP item 1(g) says
 /// why): the list below may only shrink.
 #[test]
 fn kernels_do_not_decompose_indices_per_element() {
-    const NOT_YET_ROUTED: [(&str, &str); 2] =
-        [("elementwise.rs", "zip_f32"), ("shape_ops.rs", "reduce_to_like")];
+    const NOT_YET_ROUTED: [(&str, &str); 1] = [("elementwise.rs", "zip_f32")];
     let kernels = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/rlgraph-tensor/src/kernels");
     let mut files = Vec::new();
     rust_files(&kernels, &mut files);
