@@ -6,7 +6,9 @@
 //! results are bit-identical for any thread count.
 
 use super::{FusedAct, OpKind};
-use crate::shape::{broadcast_shapes, broadcast_strides, num_elements, ravel, unravel, Walk};
+use crate::shape::{
+    broadcast_shapes, broadcast_strides, num_elements, ravel, strides, unravel, Walk,
+};
 use crate::{tensor_err, DType, Result, Tensor};
 
 /// Below this many output elements the dispatch overhead is not worth it.
@@ -23,49 +25,56 @@ fn fill_f32(out: &mut [f32], f: impl Fn(usize, &mut [f32]) + Sync) {
     }
 }
 
-/// `true` when `small` is a trailing-dim match of `big`, i.e. the broadcast
-/// just repeats `small` along the flattened output.
-fn is_suffix(small: &[usize], big: &[usize]) -> bool {
-    small.len() <= big.len() && big[big.len() - small.len()..] == *small
-}
-
 /// Applies `f` over broadcast f32 inputs.
 ///
-/// Not on the [`Walk`] yet: a broadcast that is neither same-shape nor a
-/// suffix (a conv bias, `[b,o,h,w] + [o,1,1]`) decomposes every flat index.
-/// ROADMAP item 1 has the routed version and why it lands on its own.
+/// Same-shape, suffix (`[b,n] + [n]`, either operand order) and scalar
+/// operands go over the [`Walk`]: runs of the output against runs of the
+/// operands, no index arithmetic per element. Any other broadcast (a conv
+/// bias, `[b,o,h,w] + [o,1,1]`) still decomposes every flat index, with
+/// one allocation per element; ROADMAP item 1(g) says why that arm goes
+/// in the next change and not in this one.
 fn zip_f32(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync) -> Result<Tensor> {
     let (av, bv) = (coerce_f32(a)?, coerce_f32(b)?);
     let out_shape = broadcast_shapes(a.shape(), b.shape())?;
-    let n = num_elements(&out_shape);
-    let mut out = vec![0.0f32; n];
-    if a.shape() == b.shape() {
+    let mut out = vec![0.0f32; num_elements(&out_shape)];
+    if a.shape().ends_with(b.shape()) || b.shape().ends_with(a.shape()) {
+        let walk = Walk::broadcast(&out_shape, [a.shape(), b.shape()]);
+        let steps = walk.steps();
         fill_f32(&mut out, |start, chunk| {
-            for (i, o) in chunk.iter_mut().enumerate() {
-                *o = f(av[start + i], bv[start + i]);
-            }
-        });
-    } else if is_suffix(b.shape(), a.shape()) && !bv.is_empty() {
-        // common dense-layer case: bias repeated along leading dims
-        let lane = bv.len();
-        fill_f32(&mut out, |start, chunk| {
-            for (i, o) in chunk.iter_mut().enumerate() {
-                *o = f(av[start + i], bv[(start + i) % lane]);
-            }
-        });
-    } else if is_suffix(a.shape(), b.shape()) && !av.is_empty() {
-        let lane = av.len();
-        fill_f32(&mut out, |start, chunk| {
-            for (i, o) in chunk.iter_mut().enumerate() {
-                *o = f(av[(start + i) % lane], bv[start + i]);
-            }
+            walk.for_each_run(start, start + chunk.len(), |flat, len, [oa, ob]| {
+                let run = &mut chunk[flat - start..][..len];
+                match steps {
+                    [1, 1] => {
+                        for ((o, &x), &y) in
+                            run.iter_mut().zip(&av[oa..][..len]).zip(&bv[ob..][..len])
+                        {
+                            *o = f(x, y);
+                        }
+                    }
+                    [1, 0] => {
+                        let y = bv[ob];
+                        for (o, &x) in run.iter_mut().zip(&av[oa..][..len]) {
+                            *o = f(x, y);
+                        }
+                    }
+                    [0, 1] => {
+                        let x = av[oa];
+                        for (o, &y) in run.iter_mut().zip(&bv[ob..][..len]) {
+                            *o = f(x, y);
+                        }
+                    }
+                    // both operands stand still: a space of one element
+                    _ => run.fill(f(av[oa], bv[ob])),
+                }
+            });
         });
     } else {
+        let st = strides(&out_shape);
         let sa = broadcast_strides(a.shape(), &out_shape);
         let sb = broadcast_strides(b.shape(), &out_shape);
         fill_f32(&mut out, |start, chunk| {
             for (i, o) in chunk.iter_mut().enumerate() {
-                let coords = unravel(start + i, &out_shape);
+                let coords = unravel(start + i, &st);
                 *o = f(av[ravel(&coords, &sa)], bv[ravel(&coords, &sb)]);
             }
         });
@@ -118,31 +127,19 @@ pub fn compare(kind: &OpKind, a: &Tensor, b: &Tensor) -> Result<Tensor> {
     // Exact integer comparison when both sides are i64; otherwise f32.
     if a.dtype() == DType::I64 && b.dtype() == DType::I64 {
         let (av, bv) = (a.as_i64()?, b.as_i64()?);
-        let cmp = cmp_i64(kind)?;
+        let cmp = comparison::<i64>(kind)?;
         let out_shape = broadcast_shapes(a.shape(), b.shape())?;
         let out = zip_map((av, a.shape()), (bv, b.shape()), &out_shape, cmp);
         return Tensor::from_vec_bool(out, &out_shape);
     }
-    let t = zip_f32(a, b, |x, y| {
-        let r = match kind {
-            OpKind::Greater => x > y,
-            OpKind::GreaterEqual => x >= y,
-            OpKind::Less => x < y,
-            OpKind::LessEqual => x <= y,
-            OpKind::Equal => x == y,
-            OpKind::NotEqual => x != y,
-            _ => false,
-        };
-        if r {
-            1.0
-        } else {
-            0.0
-        }
-    })?;
+    let cmp = comparison::<f32>(kind)?;
+    let t = zip_f32(a, b, |x, y| if cmp(x, y) { 1.0 } else { 0.0 })?;
     Ok(t.cast(DType::Bool))
 }
 
-fn cmp_i64(kind: &OpKind) -> Result<fn(i64, i64) -> bool> {
+/// The predicate of a comparison op, for either element type, so both
+/// reject the same kinds.
+fn comparison<T: PartialOrd>(kind: &OpKind) -> Result<fn(T, T) -> bool> {
     Ok(match kind {
         OpKind::Greater => |x, y| x > y,
         OpKind::GreaterEqual => |x, y| x >= y,
@@ -319,6 +316,18 @@ mod tests {
         let a = Tensor::from_vec_i64(vec![1, 5], &[2]).unwrap();
         let b = Tensor::from_vec_i64(vec![1, 4], &[2]).unwrap();
         assert_eq!(forward(&OpKind::Equal, &[&a, &b]).unwrap().as_bool().unwrap(), &[true, false]);
+    }
+
+    #[test]
+    fn compare_rejects_non_comparison_kinds_for_both_dtypes() {
+        let f = t(&[1.0, 2.0], &[2]);
+        let i = Tensor::from_vec_i64(vec![1, 2], &[2]).unwrap();
+        for kind in [OpKind::Add, OpKind::LogicalAnd, OpKind::Relu] {
+            for x in [&f, &i] {
+                let err = compare(&kind, x, x).unwrap_err().to_string();
+                assert!(err.contains("is not a comparison op"), "{}: {err}", kind.name());
+            }
+        }
     }
 
     #[test]

@@ -59,17 +59,19 @@ pub fn broadcast_strides(from: &[usize], to: &[usize]) -> Vec<usize> {
     out
 }
 
-/// Converts a flat index in `shape` into its multi-dimensional coordinates.
+/// Converts a flat index into its multi-dimensional coordinates, given the
+/// row-major [`strides`] of the shape (computed once by the caller, not per
+/// index).
 ///
-/// Allocates twice per call. The kernels address their operands through
-/// [`Walk`] instead; the one still on this path is named in
-/// `tests/retired_identifiers.rs`.
-pub fn unravel(mut flat: usize, shape: &[usize]) -> Vec<usize> {
-    let st = strides(shape);
-    let mut coords = vec![0usize; shape.len()];
-    for i in 0..shape.len() {
-        coords[i] = flat / st[i];
-        flat %= st[i];
+/// Allocates the coordinate vector on every call. The kernels address their
+/// operands through [`Walk`] instead; the last caller, one arm of `zip_f32`
+/// (named in `tests/retired_identifiers.rs`), goes in the next change and
+/// takes this function and [`ravel`] with it.
+pub fn unravel(mut flat: usize, strides: &[usize]) -> Vec<usize> {
+    let mut coords = vec![0usize; strides.len()];
+    for (c, &s) in coords.iter_mut().zip(strides) {
+        *c = flat / s;
+        flat %= s;
     }
     coords
 }

@@ -8,9 +8,10 @@
 //! both operand orders, zero-element tensors, and parallel chunk boundaries
 //! that split an inner run.
 //!
-//! The f32 maps (`binary`, f32 `compare`, `bias_activation`) are compared
-//! too, although `zip_f32` still is the old loop: the comparison is what the
-//! change that routes it has to keep passing.
+//! The f32 maps (`binary`, f32 `compare`, `bias_activation`) run on the
+//! walk for same-shape, suffix and scalar operands and on the old loop for
+//! every other broadcast; both arms are held to the oracle, at random shapes
+//! and at the shapes the benchmark workloads run.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -20,6 +21,11 @@ use rlgraph_tensor::shape::{
     broadcast_shapes, broadcast_strides, num_elements, reduced_shape, strides,
 };
 use rlgraph_tensor::{forward, DType, FusedAct, OpKind, Tensor};
+use std::sync::Mutex;
+
+/// The pool's thread count is one process-wide override; the tests that set
+/// it take turns.
+static POOL_THREADS: Mutex<()> = Mutex::new(());
 
 // ---------------------------------------------------------------- oracles
 
@@ -286,6 +292,21 @@ fn f32_tensor(shape: &[usize], rng: &mut StdRng) -> Tensor {
     Tensor::from_vec(data, shape).unwrap()
 }
 
+/// [`f32_tensor`] with about one element in eight replaced by a NaN of
+/// either sign, so the operand order of `max`, `min`, `pow` and of a NaN sum
+/// would show.
+fn with_nans(shape: &[usize], rng: &mut StdRng) -> Tensor {
+    let mut data = f32_tensor(shape, rng).as_f32().unwrap().to_vec();
+    for v in &mut data {
+        match rng.random_range(0..16) {
+            0 => *v = f32::NAN,
+            1 => *v = -f32::NAN,
+            _ => {}
+        }
+    }
+    Tensor::from_vec(data, shape).unwrap()
+}
+
 fn i64_tensor(shape: &[usize], rng: &mut StdRng) -> Tensor {
     let data = (0..num_elements(shape)).map(|_| rng.random_range(-2i64..3)).collect();
     Tensor::from_vec_i64(data, shape).unwrap()
@@ -495,12 +516,49 @@ fn parallel_chunks_split_inner_runs() {
         (&[2, 20_011], &[]),            // scalar: one run of 40 022
         (&[41, 9, 7, 13], &[9, 1, 1]),  // conv bias, inner run 91
     ];
+    let _turn = POOL_THREADS.lock().unwrap_or_else(|e| e.into_inner());
     rlgraph_tensor::pool::set_threads(Some(3));
     for (big, small) in cases {
         let (a, b) = (f32_tensor(big, &mut rng), f32_tensor(small, &mut rng));
         assert!(a.len() >= 32 * 1024, "{big:?} stays below the parallel cut-off");
         check_zip_kernels(&a, &b).unwrap();
         check_zip_kernels(&b, &a).unwrap();
+    }
+    rlgraph_tensor::pool::set_threads(None);
+}
+
+/// The f32 maps at the shapes the workloads run: dense biases (DQN batch,
+/// Ape-X TD-error batch), both operand orders, scalars on either side (all
+/// three run bodies of the walk), the conv bias (the arm not on the walk),
+/// empty tensors, and one map above the parallel cut-off whose 16 Ki chunk
+/// edge falls inside a run — single-threaded and chunked over two threads.
+/// NaNs and signed zeros are in the data: `max` / `min` / `pow` and the
+/// payload of `NaN + NaN` depend on operand order, so a run body that swaps
+/// its operands shows here.
+#[test]
+fn f32_maps_match_the_oracle_at_workload_shapes() {
+    const BIG: &[usize] = &[41, 1000];
+    assert!(num_elements(BIG) >= 32 * 1024 && !(16 * 1024usize).is_multiple_of(BIG[1]));
+    let cases: [(&[usize], &[usize]); 9] = [
+        (&[32, 64], &[64]),
+        (&[400, 64], &[64]),
+        (&[64], &[32, 64]),
+        (&[512, 64], &[]),
+        (&[], &[512, 64]),
+        (&[80, 16, 8, 8], &[16, 1, 1]),
+        (&[0, 3], &[3]),
+        (&[3], &[0, 3]),
+        (BIG, &[1000]),
+    ];
+    let _turn = POOL_THREADS.lock().unwrap_or_else(|e| e.into_inner());
+    for threads in [1, 2] {
+        rlgraph_tensor::pool::set_threads(Some(threads));
+        let mut rng = StdRng::seed_from_u64(19);
+        for (sa, sb) in cases {
+            let (a, b) = (with_nans(sa, &mut rng), with_nans(sb, &mut rng));
+            check_zip_kernels(&a, &b)
+                .unwrap_or_else(|e| panic!("{sa:?} with {sb:?}, {threads} thread(s): {e:?}"));
+        }
     }
     rlgraph_tensor::pool::set_threads(None);
 }

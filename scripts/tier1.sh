@@ -62,12 +62,14 @@ step elastic_bench timeout 300 cargo "${CONFIG[@]}" run --release "${OFFLINE[@]}
 step c10k_bench timeout 300 cargo "${CONFIG[@]}" run --release "${OFFLINE[@]}" -p bench --bin c10k_bench -- --smoke
 
 # The A/B script every perf change is measured with, as an A/A of this
-# checkout against itself (one pair, 1 s windows): it has to exit 0 and
-# report all six end-to-end metrics. Measures nothing.
+# checkout against itself (a list of two workloads, one pair, 1 s windows):
+# it has to exit 0 and report all six end-to-end metrics for each.
+# Measures nothing.
 ab_smoke() {
     local out
-    out=$(scripts/ab.sh . . serve_inproc 1 --seconds 1)
-    [ "$(grep -cE '^(setup_s|ops_per_s|env_frames_per_s|latency_p50_us|latency_p95_us|peak_rss_mb) ' <<<"$out")" -eq 6 ]
+    out=$(scripts/ab.sh . . serve_inproc,worker_collect 1 --seconds 1)
+    [ "$(grep -cE '^(serve_inproc|worker_collect): 1 alternating pair' <<<"$out")" -eq 2 ]
+    [ "$(grep -cE '^(setup_s|ops_per_s|env_frames_per_s|latency_p50_us|latency_p95_us|peak_rss_mb) ' <<<"$out")" -eq 12 ]
 }
 step ab_smoke ab_smoke
 

@@ -78,12 +78,16 @@ fn retired_identifiers_stay_retired() {
 
 /// The tensor kernels address their operands through `shape::Walk` — one
 /// odometer per op, contiguous inner runs — not by decomposing every flat
-/// index (a divide, a modulo and two allocations per element). One kernel
-/// is still to be routed, in a change of its own (ROADMAP item 1(g) says
-/// why): the list below may only shrink.
+/// index (a divide and a modulo per axis and an allocation per element).
+/// One arm of one kernel still does, the broadcast in `zip_f32` that is
+/// neither same-shape, suffix nor scalar (ROADMAP item 1(g) says why it
+/// goes in a change of its own): the list below may only shrink. The
+/// suffix test and per-element modulo that `zip_f32` used before the walk
+/// stay gone.
 #[test]
 fn kernels_do_not_decompose_indices_per_element() {
     const NOT_YET_ROUTED: [(&str, &str); 1] = [("elementwise.rs", "zip_f32")];
+    const GONE: [&str; 2] = ["is_suffix", "% lane"];
     let kernels = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/rlgraph-tensor/src/kernels");
     let mut files = Vec::new();
     rust_files(&kernels, &mut files);
@@ -99,5 +103,8 @@ fn kernels_do_not_decompose_indices_per_element() {
             "{} calls {call}; only {NOT_YET_ROUTED:?} may, once each",
             path.display()
         );
+        for gone in GONE {
+            assert!(!text.contains(gone), "{} brings back `{gone}`", path.display());
+        }
     }
 }
