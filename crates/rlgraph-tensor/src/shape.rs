@@ -59,28 +59,6 @@ pub fn broadcast_strides(from: &[usize], to: &[usize]) -> Vec<usize> {
     out
 }
 
-/// Converts a flat index into its multi-dimensional coordinates, given the
-/// row-major [`strides`] of the shape (computed once by the caller, not per
-/// index).
-///
-/// Allocates the coordinate vector on every call. The kernels address their
-/// operands through [`Walk`] instead; the last caller, one arm of `zip_f32`
-/// (named in `tests/retired_identifiers.rs`), goes in the next change and
-/// takes this function and [`ravel`] with it.
-pub fn unravel(mut flat: usize, strides: &[usize]) -> Vec<usize> {
-    let mut coords = vec![0usize; strides.len()];
-    for (c, &s) in coords.iter_mut().zip(strides) {
-        *c = flat / s;
-        flat %= s;
-    }
-    coords
-}
-
-/// Dot product of coordinates with strides (flat offset).
-pub fn ravel(coords: &[usize], strides: &[usize]) -> usize {
-    coords.iter().zip(strides).map(|(c, s)| c * s).sum()
-}
-
 /// One stride walk over a row-major index space, shared by every kernel
 /// that reads or writes `N` operands through per-axis strides: broadcasts
 /// (stride 0 on expanded axes), reductions onto a broadcast target,
@@ -113,21 +91,49 @@ impl<const N: usize> Walk<N> {
     /// elements per step along axis `d`.
     pub fn new(shape: &[usize], strides: [&[usize]; N]) -> Self {
         debug_assert!(strides.iter().all(|s| s.len() == shape.len()));
+        let axes = (0..shape.len()).rev();
+        Self::from_axes(axes.map(|d| (shape[d], std::array::from_fn(|k| strides[k][d]))))
+    }
+
+    /// A walk over `out_shape` reading each of `shapes` as if broadcast to
+    /// it; every shape must be broadcastable to `out_shape`. Broadcast
+    /// operands always get an inner step of 0 or 1.
+    ///
+    /// The strides are those of [`broadcast_strides`], worked out axis by
+    /// axis on the way in: a small map (one served action) pays for no
+    /// allocation here.
+    pub fn broadcast(out_shape: &[usize], shapes: [&[usize]; N]) -> Self {
+        let rank = out_shape.len();
+        // each operand's row-major stride at the axis being visited
+        let mut dense = [1usize; N];
+        Self::from_axes((0..rank).rev().map(|d| {
+            let at = std::array::from_fn(|k| {
+                let lead = rank - shapes[k].len();
+                let dim = if d < lead { 1 } else { shapes[k][d - lead] };
+                let stride = if dim == 1 && out_shape[d] != 1 { 0 } else { dense[k] };
+                dense[k] *= dim;
+                stride
+            });
+            (out_shape[d], at)
+        }))
+    }
+
+    /// Collapses axes given innermost first as (size, per-operand stride).
+    fn from_axes(axes: impl Iterator<Item = (usize, [usize; N])>) -> Self {
         let mut outer = Vec::new();
         // the group being grown, innermost axis first: (size, strides)
         let mut group: Option<(usize, [usize; N])> = None;
-        for d in (0..shape.len()).rev() {
-            if shape[d] == 1 {
+        for (size, at) in axes {
+            if size == 1 {
                 continue;
             }
-            let at: [usize; N] = std::array::from_fn(|k| strides[k][d]);
             match &mut group {
-                Some((size, st)) if (0..N).all(|k| at[k] == st[k] * *size) => *size *= shape[d],
+                Some((len, st)) if (0..N).all(|k| at[k] == st[k] * *len) => *len *= size,
                 Some(done) => {
                     outer.push(*done);
-                    *done = (shape[d], at);
+                    *done = (size, at);
                 }
-                None => group = Some((shape[d], at)),
+                None => group = Some((size, at)),
             }
         }
         // the first finished group is the innermost axis; a space with no
@@ -137,15 +143,6 @@ impl<const N: usize> Walk<N> {
         outer.extend(group);
         outer.reverse();
         Walk { outer, inner, steps }
-    }
-
-    /// A walk over `out_shape` reading each of `shapes` as if broadcast to
-    /// it; every shape must be broadcastable to `out_shape`. Broadcast
-    /// operands always get an inner step of 0 or 1.
-    pub fn broadcast(out_shape: &[usize], shapes: [&[usize]; N]) -> Self {
-        let strides: [Vec<usize>; N] =
-            std::array::from_fn(|k| broadcast_strides(shapes[k], out_shape));
-        Walk::new(out_shape, std::array::from_fn(|k| strides[k].as_slice()))
     }
 
     /// Each operand's stride along a run.

@@ -8,10 +8,9 @@
 //! both operand orders, zero-element tensors, and parallel chunk boundaries
 //! that split an inner run.
 //!
-//! The f32 maps (`binary`, f32 `compare`, `bias_activation`) run on the
-//! walk for same-shape, suffix and scalar operands and on the old loop for
-//! every other broadcast; both arms are held to the oracle, at random shapes
-//! and at the shapes the benchmark workloads run.
+//! The f32 maps (`binary`, f32 `compare`, `bias_activation`) are held to
+//! the oracle at random shapes and at the shapes the benchmark workloads
+//! run.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -247,14 +246,18 @@ fn tile_grad_oracle(grad: &Tensor, shape: &[usize]) -> Tensor {
 
 // ---------------------------------------------------------------- helpers
 
-/// Bitwise equality: dtype, shape, and every f32 compared by `to_bits`.
+/// Bitwise equality: dtype, shape, and every f32 compared by `to_bits`,
+/// except that a NaN matches a NaN of any sign and payload. Rust leaves
+/// both unspecified for the result of an arithmetic op, and an optimised
+/// build does commute a vectorised `x + y` against a standing operand, so
+/// `-NaN + NaN` keeps whichever sign the compiler put first.
 fn same_bits(got: &Tensor, want: &Tensor) -> bool {
     got.dtype() == want.dtype()
         && got.shape() == want.shape()
         && match want.dtype() {
             DType::F32 => {
                 let (g, w) = (got.as_f32().unwrap(), want.as_f32().unwrap());
-                g.iter().zip(w).all(|(a, b)| a.to_bits() == b.to_bits())
+                g.iter().zip(w).all(|(a, b)| a.to_bits() == b.to_bits() || a.is_nan() && b.is_nan())
             }
             DType::I64 => got.as_i64().unwrap() == want.as_i64().unwrap(),
             DType::Bool => got.as_bool().unwrap() == want.as_bool().unwrap(),
@@ -293,8 +296,10 @@ fn f32_tensor(shape: &[usize], rng: &mut StdRng) -> Tensor {
 }
 
 /// [`f32_tensor`] with about one element in eight replaced by a NaN of
-/// either sign, so the operand order of `max`, `min`, `pow` and of a NaN sum
-/// would show.
+/// either sign: `max` and `min` drop a NaN operand, `pow` answers 1 for
+/// `pow(1, NaN)` and `pow(NaN, 0)` only, and the comparisons are all false
+/// but `!=`, so a NaN that reached the wrong element or the wrong side
+/// shows.
 fn with_nans(shape: &[usize], rng: &mut StdRng) -> Tensor {
     let mut data = f32_tensor(shape, rng).as_f32().unwrap().to_vec();
     for v in &mut data {
@@ -529,11 +534,11 @@ fn parallel_chunks_split_inner_runs() {
 
 /// The f32 maps at the shapes the workloads run: dense biases (DQN batch,
 /// Ape-X TD-error batch), both operand orders, scalars on either side (all
-/// three run bodies of the walk), the conv bias (the arm not on the walk),
-/// empty tensors, and one map above the parallel cut-off whose 16 Ki chunk
+/// three run bodies of the walk), the conv bias (runs of `h*w` against a
+/// standing bias, under two outer axes), empty tensors, and one map above the parallel cut-off whose 16 Ki chunk
 /// edge falls inside a run — single-threaded and chunked over two threads.
-/// NaNs and signed zeros are in the data: `max` / `min` / `pow` and the
-/// payload of `NaN + NaN` depend on operand order, so a run body that swaps
+/// NaNs and signed zeros are in the data; `sub`, `div`, `pow` and the
+/// ordered comparisons depend on operand order, so a run body that swaps
 /// its operands shows here.
 #[test]
 fn f32_maps_match_the_oracle_at_workload_shapes() {

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 gate: release build, the workspace test suite, the serving and
+# Tier-1 gate: release build, the workspace test suite, the tensor
+# kernels' tests again in the release profile, the serving and
 # multi-process examples, the three scale-bench smokes (chaos, elastic,
 # c10k), an A/A smoke of scripts/ab.sh, rustdoc and clippy over all
 # targets (deny warnings), rustfmt. Prints the elapsed seconds of every
@@ -36,6 +37,9 @@ step build cargo "${CONFIG[@]}" build --release "${OFFLINE[@]}"
 # net_runtime, elastic_cluster): a wedged one must fail the gate, not
 # hang it. ~4 min warm on the one-core box; the ceiling is generous.
 step test timeout 1800 cargo "${CONFIG[@]}" test -q "${OFFLINE[@]}" --workspace --no-fail-fast
+# The kernels' bitwise oracles again, on the code the benchmark runs: the
+# optimiser vectorises and reorders what the dev profile above does not.
+step kernel_oracles cargo "${CONFIG[@]}" test -q --release "${OFFLINE[@]}" -p rlgraph-tensor
 
 # Exercise the serving path end to end (batched act + hot weight swap).
 step serve_smoke cargo "${CONFIG[@]}" run --release "${OFFLINE[@]}" --example serve_smoke
