@@ -6,7 +6,9 @@
 //! results are bit-identical for any thread count.
 
 use super::{FusedAct, OpKind};
-use crate::shape::{broadcast_shapes, num_elements, Walk};
+use crate::shape::{
+    broadcast_shapes, broadcast_strides, num_elements, ravel, strides, unravel, Walk,
+};
 use crate::{tensor_err, DType, Result, Tensor};
 
 /// Below this many output elements the dispatch overhead is not worth it.
@@ -23,44 +25,60 @@ fn fill_f32(out: &mut [f32], f: impl Fn(usize, &mut [f32]) + Sync) {
     }
 }
 
-/// Applies `f` over broadcast f32 inputs, on the [`Walk`]: runs of the
-/// output against runs of the operands, no index arithmetic per element.
-/// Same-shape and suffix maps (`[b,n] + [n]`, either operand order) are
-/// runs where both operands advance, a scalar or a conv bias
-/// (`[b,o,h,w] + [o,1,1]`) runs where one of them stands still.
+/// Applies `f` over broadcast f32 inputs.
+///
+/// Same-shape, suffix (`[b,n] + [n]`, either operand order) and scalar
+/// operands go over the [`Walk`]: runs of the output against runs of the
+/// operands, no index arithmetic per element. Any other broadcast (a conv
+/// bias, `[b,o,h,w] + [o,1,1]`) still decomposes every flat index, with
+/// one allocation per element; ROADMAP item 1(g) says why that arm goes
+/// in the next change and not in this one.
 fn zip_f32(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync) -> Result<Tensor> {
     let (av, bv) = (coerce_f32(a)?, coerce_f32(b)?);
     let out_shape = broadcast_shapes(a.shape(), b.shape())?;
     let mut out = vec![0.0f32; num_elements(&out_shape)];
-    let walk = Walk::broadcast(&out_shape, [a.shape(), b.shape()]);
-    let steps = walk.steps();
-    fill_f32(&mut out, |start, chunk| {
-        walk.for_each_run(start, start + chunk.len(), |flat, len, [oa, ob]| {
-            let run = &mut chunk[flat - start..][..len];
-            match steps {
-                [1, 1] => {
-                    for ((o, &x), &y) in run.iter_mut().zip(&av[oa..][..len]).zip(&bv[ob..][..len])
-                    {
-                        *o = f(x, y);
+    if a.shape().ends_with(b.shape()) || b.shape().ends_with(a.shape()) {
+        let walk = Walk::broadcast(&out_shape, [a.shape(), b.shape()]);
+        let steps = walk.steps();
+        fill_f32(&mut out, |start, chunk| {
+            walk.for_each_run(start, start + chunk.len(), |flat, len, [oa, ob]| {
+                let run = &mut chunk[flat - start..][..len];
+                match steps {
+                    [1, 1] => {
+                        for ((o, &x), &y) in
+                            run.iter_mut().zip(&av[oa..][..len]).zip(&bv[ob..][..len])
+                        {
+                            *o = f(x, y);
+                        }
                     }
-                }
-                [1, 0] => {
-                    let y = bv[ob];
-                    for (o, &x) in run.iter_mut().zip(&av[oa..][..len]) {
-                        *o = f(x, y);
+                    [1, 0] => {
+                        let y = bv[ob];
+                        for (o, &x) in run.iter_mut().zip(&av[oa..][..len]) {
+                            *o = f(x, y);
+                        }
                     }
-                }
-                [0, 1] => {
-                    let x = av[oa];
-                    for (o, &y) in run.iter_mut().zip(&bv[ob..][..len]) {
-                        *o = f(x, y);
+                    [0, 1] => {
+                        let x = av[oa];
+                        for (o, &y) in run.iter_mut().zip(&bv[ob..][..len]) {
+                            *o = f(x, y);
+                        }
                     }
+                    // both operands stand still: a space of one element
+                    _ => run.fill(f(av[oa], bv[ob])),
                 }
-                // both operands stand still: a space of one element
-                _ => run.fill(f(av[oa], bv[ob])),
+            });
+        });
+    } else {
+        let st = strides(&out_shape);
+        let sa = broadcast_strides(a.shape(), &out_shape);
+        let sb = broadcast_strides(b.shape(), &out_shape);
+        fill_f32(&mut out, |start, chunk| {
+            for (i, o) in chunk.iter_mut().enumerate() {
+                let coords = unravel(start + i, &st);
+                *o = f(av[ravel(&coords, &sa)], bv[ravel(&coords, &sb)]);
             }
         });
-    });
+    }
     Tensor::from_vec(out, &out_shape)
 }
 

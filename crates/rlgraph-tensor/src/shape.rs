@@ -59,6 +59,28 @@ pub fn broadcast_strides(from: &[usize], to: &[usize]) -> Vec<usize> {
     out
 }
 
+/// Converts a flat index into its multi-dimensional coordinates, given the
+/// row-major [`strides`] of the shape (computed once by the caller, not per
+/// index).
+///
+/// Allocates the coordinate vector on every call. The kernels address their
+/// operands through [`Walk`] instead; the last caller, one arm of `zip_f32`
+/// (named in `tests/retired_identifiers.rs`), goes in the next change and
+/// takes this function and [`ravel`] with it.
+pub fn unravel(mut flat: usize, strides: &[usize]) -> Vec<usize> {
+    let mut coords = vec![0usize; strides.len()];
+    for (c, &s) in coords.iter_mut().zip(strides) {
+        *c = flat / s;
+        flat %= s;
+    }
+    coords
+}
+
+/// Dot product of coordinates with strides (flat offset).
+pub fn ravel(coords: &[usize], strides: &[usize]) -> usize {
+    coords.iter().zip(strides).map(|(c, s)| c * s).sum()
+}
+
 /// One stride walk over a row-major index space, shared by every kernel
 /// that reads or writes `N` operands through per-axis strides: broadcasts
 /// (stride 0 on expanded axes), reductions onto a broadcast target,

@@ -8,9 +8,10 @@
 //! both operand orders, zero-element tensors, and parallel chunk boundaries
 //! that split an inner run.
 //!
-//! The f32 maps (`binary`, f32 `compare`, `bias_activation`) are held to
-//! the oracle at random shapes and at the shapes the benchmark workloads
-//! run.
+//! The f32 maps (`binary`, f32 `compare`, `bias_activation`) run on the
+//! walk for same-shape, suffix and scalar operands and on the old loop for
+//! every other broadcast; both arms are held to the oracle, at random shapes
+//! and at the shapes the benchmark workloads run.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -534,8 +535,8 @@ fn parallel_chunks_split_inner_runs() {
 
 /// The f32 maps at the shapes the workloads run: dense biases (DQN batch,
 /// Ape-X TD-error batch), both operand orders, scalars on either side (all
-/// three run bodies of the walk), the conv bias (runs of `h*w` against a
-/// standing bias, under two outer axes), empty tensors, and one map above the parallel cut-off whose 16 Ki chunk
+/// three run bodies of the walk), the conv bias (the arm not on the walk),
+/// empty tensors, and one map above the parallel cut-off whose 16 Ki chunk
 /// edge falls inside a run — single-threaded and chunked over two threads.
 /// NaNs and signed zeros are in the data; `sub`, `div`, `pow` and the
 /// ordered comparisons depend on operand order, so a run body that swaps
