@@ -22,10 +22,11 @@
 //! does-it-run gate for the re-exec + reactor + rlimit path.
 
 use rlgraph_core::{RlError, RlResult};
-use rlgraph_net::frame::{read_frame, write_frame, FrameKind};
+use rlgraph_net::frame::{read_frame, FrameKind};
 use rlgraph_net::rpc::{RpcServer, RpcServerConfig, RpcService};
 use rlgraph_net::wire::{ByteReader, ByteWriter};
 use rlgraph_obs::Recorder;
+use rlgraph_reactor::call::{decode_response, encode_request};
 use rlgraph_reactor::mux::{MuxServer, MuxServerConfig};
 use rlgraph_reactor::sys;
 use std::io::{BufRead, BufReader, Write};
@@ -121,24 +122,16 @@ fn run_server_child(role: &str) -> ! {
 /// One request/response round-trip on a raw socket, speaking the exact
 /// client wire format both stacks serve.
 fn roundtrip(stream: &TcpStream, req_id: u64, method: u16, body: &[u8]) -> RlResult<Vec<u8>> {
-    let mut payload = ByteWriter::with_capacity(12 + body.len());
-    payload.put_u64(req_id);
-    payload.put_u16(method);
-    payload.put_bytes(body);
-    write_frame(&mut &*stream, FrameKind::Request, &payload.into_bytes())?;
+    (&*stream).write_all(&encode_request(None, req_id, method, body, false)?)?;
     let (kind, resp) = read_frame(&mut &*stream)?;
     if kind != FrameKind::Response {
         return Err(RlError::Protocol(format!("unexpected {kind:?} frame")));
     }
-    let mut r = ByteReader::new(&resp);
-    let got_id = r.get_u64()?;
+    let (got_id, reply) = decode_response(&resp)?;
     if got_id != req_id {
         return Err(RlError::Protocol(format!("response id {got_id} != {req_id}")));
     }
-    match r.get_u8()? {
-        0 => Ok(r.get_bytes(r.remaining())?.to_vec()),
-        _ => Err(RlError::Protocol("service error".into())),
-    }
+    reply
 }
 
 fn server_mem(stream: &TcpStream, req_id: u64) -> Option<(u64, u64)> {

@@ -32,15 +32,16 @@ use crate::cluster::HashRing;
 use crate::driver::{DriverConfigBuilder, RunBudget};
 use crate::fault::{FaultEvent, FaultKind, FaultPlan};
 use crate::fragment::{
-    FragmentCounter, ReplicaHealth, RunReport, SteppedExecutor, SteppedStages, TickCtx, TickFlow,
+    apex_learn_step, apex_replica, apex_shard, FragmentCounter, ReplicaHealth, RunReport,
+    SteppedExecutor, SteppedStages, TickCtx, TickFlow,
 };
-use crate::ray::{apex_worker_epsilon, ApexRunStats};
+use crate::ray::ApexRunStats;
 use crate::retry::{RetryPolicy, VirtualSleeper};
 use crate::shard::{ShardCore, DEFAULT_MAILBOX_CAPACITY};
 use rlgraph_agents::apex::ApexWorker;
 use rlgraph_agents::{DqnAgent, DqnConfig};
 use rlgraph_core::{CoreError, RlError, RlResult};
-use rlgraph_envs::{Env, VectorEnv};
+use rlgraph_envs::Env;
 use rlgraph_obs::{ClockSource, Counter, Histogram, Recorder, VirtualTime};
 use rlgraph_spaces::Space;
 use rlgraph_tensor::Tensor;
@@ -375,7 +376,8 @@ impl RunReport for ChaosReport {
 
 struct WorkerSlot {
     worker: ApexWorker,
-    cfg: DqnConfig,
+    /// supervised restarts so far: each draws a fresh exploration seed
+    incarnation: u64,
     seen_version: u64,
     /// tick at which a crashed worker comes back, if down
     down_until: Option<u64>,
@@ -383,17 +385,16 @@ struct WorkerSlot {
 }
 
 fn make_worker<F>(
+    config: &ChaosApexConfig,
     env_factory: &F,
-    envs_per_worker: usize,
     w: usize,
-    cfg: &DqnConfig,
+    incarnation: u64,
 ) -> RlResult<ApexWorker>
 where
     F: Fn(usize, usize) -> Box<dyn Env>,
 {
-    let envs = VectorEnv::new((0..envs_per_worker).map(|e| env_factory(w, e)).collect())
-        .map_err(|e| RlError::Core(CoreError::new(e.message())))?;
-    ApexWorker::new(cfg.clone(), envs).map_err(RlError::from)
+    let envs = (0..config.envs_per_worker).map(|e| env_factory(w, e)).collect();
+    apex_replica(&config.agent, w, config.num_workers, incarnation, envs)
 }
 
 /// The chaos engine as a stepped fragment graph: each [`SteppedStages`]
@@ -463,14 +464,10 @@ impl<F: Fn(usize, usize) -> Box<dyn Env>> SteppedStages for ChaosState<'_, F> {
                 if step < back_at {
                     continue; // still down
                 }
-                // Supervised restart: fresh worker, pulls current weights.
-                // The reincarnation gets a new exploration seed — reusing
-                // the old one would replay the exact same action stream
-                // after every crash, filling the replay shards with
-                // duplicated trajectories and freezing learning.
-                slot.cfg.seed = slot.cfg.seed.wrapping_add(0x9E37_79B9);
-                let cfg = slot.cfg.clone();
-                slot.worker = make_worker(self.env_factory, self.config.envs_per_worker, w, &cfg)?;
+                // Supervised restart: fresh worker (and exploration
+                // seed), pulls current weights.
+                slot.incarnation += 1;
+                slot.worker = make_worker(self.config, self.env_factory, w, slot.incarnation)?;
                 slot.worker.agent_mut().set_weights(&self.published)?;
                 slot.seen_version = self.weight_version;
                 slot.down_until = None;
@@ -606,12 +603,10 @@ impl<F: Fn(usize, usize) -> Box<dyn Env>> SteppedStages for ChaosState<'_, F> {
             Err(RlError::RetriesExhausted { .. }) => return Ok(TickFlow::Skip),
             Err(e) => return Err(e),
         };
-        let [s, a, r, s2, t] = batch.tensors;
-        let (loss, td) = self.learner.update_from_batch([s, a, r, s2, t, batch.weights])?;
+        let (loss, indices, priorities) = apex_learn_step(&mut self.learner, batch)?;
         self.losses.push(loss);
         self.updates += 1;
-        let priorities = td.as_f32().map_err(CoreError::from)?.to_vec();
-        self.shard_cores[shard_idx].update_priorities(batch.indices, priorities);
+        self.shard_cores[shard_idx].update_priorities(indices, priorities);
         Ok(TickFlow::Continue)
     }
 
@@ -693,15 +688,8 @@ where
     let recorder = config.recorder.clone();
 
     // Shards: real replay cores, per-shard liveness state.
-    let shard_cores: Vec<ShardCore> = (0..config.num_shards)
-        .map(|i| {
-            ShardCore::new(
-                config.agent.memory_capacity,
-                config.agent.alpha,
-                config.agent.seed.wrapping_add(1000 + i as u64),
-            )
-        })
-        .collect();
+    let shard_cores: Vec<ShardCore> =
+        (0..config.num_shards).map(|i| apex_shard(&config.agent, i)).collect();
     let mut shards = ReplicaHealth::new(config.num_shards);
     for &s in &config.kill_shards {
         shards.kill(s);
@@ -710,13 +698,14 @@ where
     // Workers: same construction as the threaded executor.
     let mut workers: Vec<WorkerSlot> = Vec::with_capacity(config.num_workers);
     for w in 0..config.num_workers {
-        let mut cfg = config.agent.clone();
-        cfg.memory_capacity = 16; // workers do not learn locally
-        cfg.seed = config.agent.seed.wrapping_add(w as u64 * 7919);
-        let eps = apex_worker_epsilon(w, config.num_workers);
-        cfg.epsilon = rlgraph_agents::EpsilonSchedule { start: eps, end: eps, decay_steps: 1 };
-        let worker = make_worker(&env_factory, config.envs_per_worker, w, &cfg)?;
-        workers.push(WorkerSlot { worker, cfg, seen_version: 0, down_until: None, task: 0 });
+        let worker = make_worker(&config, &env_factory, w, 0)?;
+        workers.push(WorkerSlot {
+            worker,
+            incarnation: 0,
+            seen_version: 0,
+            down_until: None,
+            task: 0,
+        });
     }
 
     // Learner.

@@ -14,6 +14,8 @@
 //! `chaos.rs` keep its same-seed bit-identity contract while routing
 //! failover through the ring.
 
+use crate::fault::splitmix64;
+
 /// A consistent-hash ring over `u32` node ids.
 ///
 /// Construction sorts the point list once; lookups are a binary search.
@@ -160,15 +162,6 @@ impl HashRing {
         }
         out
     }
-}
-
-/// SplitMix64 finalizer — same mixer as `fault.rs`, reproduced here so
-/// the ring stays dependency-free within the crate.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

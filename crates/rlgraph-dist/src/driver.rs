@@ -2,12 +2,10 @@
 //!
 //! The four drivers' configs spell the same knobs in their own fields
 //! (`num_workers` vs `num_actors`, `run_duration` vs `steps`). This
-//! module holds the one vocabulary that sets and reads them:
+//! module holds the one vocabulary that sets them:
 //!
 //! * [`RunBudget`] — how long a run lasts, in whichever unit the driver
 //!   meters (wall clock, learner updates, or virtual-time ticks).
-//! * [`DriverCommon`] — the read-side view: every driver config can
-//!   report its seed, parallelism and cadence uniformly.
 //! * [`DriverConfigBuilder`] — the write-side trait: one builder
 //!   vocabulary (`parallelism`, `sync_every`, `budget`, `observe_with`,
 //!   `try_build`) implemented by
@@ -16,9 +14,6 @@
 //!   [`ChaosApexConfigBuilder`](crate::ChaosApexConfigBuilder) and
 //!   rlgraph-net's `NetApexConfigBuilder`.
 
-use crate::chaos::ChaosApexConfig;
-use crate::impala_driver::ImpalaDriverConfig;
-use crate::ray::ApexRunConfig;
 use rlgraph_core::RlResult;
 use rlgraph_obs::Recorder;
 use std::time::Duration;
@@ -59,23 +54,6 @@ impl RunBudget {
     }
 }
 
-/// The uniform read-side view over a driver config: the knobs every
-/// driver shares, whatever its concrete struct spells them.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DriverCommon {
-    /// base RNG seed (the agent seed all per-replica seeds derive from)
-    pub seed: u64,
-    /// rollout parallelism (worker or actor replicas)
-    pub parallelism: usize,
-    /// vectorised environments per rollout replica
-    pub envs_per_replica: usize,
-    /// weight-broadcast cadence in learner updates (actor-pull cadence
-    /// in rollouts for IMPALA)
-    pub sync_every: u64,
-    /// the run's budget, in the units the driver meters
-    pub budget: RunBudget,
-}
-
 /// The uniform write-side vocabulary over driver config builders: the
 /// only way to set the shared knobs and to build.
 pub trait DriverConfigBuilder: Sized {
@@ -105,56 +83,12 @@ pub trait DriverConfigBuilder: Sized {
     fn try_build(self) -> RlResult<Self::Config>;
 }
 
-impl ApexRunConfig {
-    /// The uniform view over this config's shared knobs.
-    pub fn common(&self) -> DriverCommon {
-        DriverCommon {
-            seed: self.agent.seed,
-            parallelism: self.num_workers,
-            envs_per_replica: self.envs_per_worker,
-            sync_every: self.weight_sync_interval,
-            budget: RunBudget {
-                wall: Some(self.run_duration),
-                max_updates: self.max_updates,
-                steps: None,
-            },
-        }
-    }
-}
-
-impl ImpalaDriverConfig {
-    /// The uniform view over this config's shared knobs.
-    pub fn common(&self) -> DriverCommon {
-        DriverCommon {
-            seed: self.agent.seed,
-            parallelism: self.num_actors,
-            envs_per_replica: self.envs_per_actor,
-            sync_every: self.weight_sync_interval,
-            budget: RunBudget {
-                wall: Some(self.run_duration),
-                max_updates: self.max_updates,
-                steps: None,
-            },
-        }
-    }
-}
-
-impl ChaosApexConfig {
-    /// The uniform view over this config's shared knobs.
-    pub fn common(&self) -> DriverCommon {
-        DriverCommon {
-            seed: self.agent.seed,
-            parallelism: self.num_workers,
-            envs_per_replica: self.envs_per_worker,
-            sync_every: self.weight_sync_interval,
-            budget: RunBudget { wall: None, max_updates: None, steps: Some(self.steps) },
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::ChaosApexConfig;
+    use crate::impala_driver::ImpalaDriverConfig;
+    use crate::ray::ApexRunConfig;
 
     #[test]
     fn one_vocabulary_configures_all_three_dist_drivers() {
@@ -188,24 +122,6 @@ mod tests {
         assert_eq!(chaos.num_workers, 2);
         assert_eq!(chaos.weight_sync_interval, 3);
         assert_eq!(chaos.steps, 12);
-    }
-
-    #[test]
-    fn common_view_reports_the_same_knobs_back() {
-        let apex = ApexRunConfig::builder()
-            .parallelism(4)
-            .sync_every(2)
-            .budget(RunBudget::wall(Duration::from_millis(10)))
-            .try_build()
-            .unwrap();
-        let common = apex.common();
-        assert_eq!(common.parallelism, 4);
-        assert_eq!(common.sync_every, 2);
-        assert_eq!(common.budget.wall, Some(Duration::from_millis(10)));
-        assert_eq!(common.seed, apex.agent.seed);
-
-        let chaos = ChaosApexConfig::builder().budget(RunBudget::steps(30)).try_build().unwrap();
-        assert_eq!(chaos.common().budget, RunBudget::steps(30));
     }
 
     #[test]

@@ -243,7 +243,10 @@ impl FaultPlanBuilder {
 
 /// SplitMix64 finalizer — the same mixer the offline `rand` stub seeds
 /// with, giving well-distributed 64-bit hashes from structured input.
-fn splitmix64(x: u64) -> u64 {
+/// The one seed convention of thread-level chaos (this module), ring
+/// placement ([`crate::cluster::HashRing`]) and network-level chaos
+/// (rlgraph-net's fault proxy).
+pub fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

@@ -30,7 +30,7 @@ use crate::shard::{
 use crossbeam::channel::bounded;
 use parking_lot::Mutex;
 use rlgraph_agents::apex::ApexWorker;
-use rlgraph_agents::DqnAgent;
+use rlgraph_agents::{DqnAgent, DqnConfig, EpsilonSchedule};
 use rlgraph_core::{CoreError, RlError, RlResult};
 use rlgraph_envs::{Env, VectorEnv};
 use rlgraph_tensor::Tensor;
@@ -43,19 +43,29 @@ use std::time::{Duration, Instant};
 type WeightMsg = (u64, Vec<(String, Tensor)>);
 
 /// The Ape-X topology as a fragment graph (see the module docs for the
-/// shape). Stage replica counts come from the config; edge bounds are
-/// shard mailboxes of [`DEFAULT_MAILBOX_CAPACITY`] and latest-wins
-/// weight slots.
+/// shape) — the one declaration every Ape-X driver runs, in-process,
+/// stepped or over TCP. Edge bounds are shard mailboxes of
+/// [`DEFAULT_MAILBOX_CAPACITY`] and latest-wins weight slots;
+/// `rollout_bounds` declares the rollout stage elastic between
+/// `(min, max)` replicas (a runtime's `ElasticStage` pool enforces
+/// them), `None` fixes it at `num_workers`.
 ///
 /// # Errors
 ///
-/// [`RlError::Core`] when the config declares zero workers or shards
-/// (graph validation requires every stage to have at least one
-/// replica).
-pub fn apex_graph(config: &ApexRunConfig) -> RlResult<FragmentGraph> {
-    FragmentGraph::builder()
-        .stage("rollout", StageKind::Rollout, config.num_workers)
-        .stage("replay", StageKind::Replay, config.num_shards)
+/// [`RlError::Core`] on zero workers or shards (graph validation
+/// requires every stage to have at least one replica) or bounds that
+/// exclude `num_workers`.
+pub fn apex_graph(
+    num_workers: usize,
+    num_shards: usize,
+    rollout_bounds: Option<(usize, usize)>,
+) -> RlResult<FragmentGraph> {
+    let b = FragmentGraph::builder();
+    let b = match rollout_bounds {
+        Some((min, max)) => b.elastic_stage("rollout", StageKind::Rollout, num_workers, min, max),
+        None => b.stage("rollout", StageKind::Rollout, num_workers),
+    };
+    b.stage("replay", StageKind::Replay, num_shards)
         .stage("learn", StageKind::Learn, 1)
         .stage("broadcast", StageKind::Broadcast, 1)
         .edge("rollout", "replay", DEFAULT_MAILBOX_CAPACITY)
@@ -72,6 +82,62 @@ pub fn default_apex_placement() -> PlacementMap {
         .place("replay", Placement::ActorThread)
         .place("learn", Placement::InThread)
         .place("broadcast", Placement::InThread)
+}
+
+/// Replay shard `shard` of a run: sized and prioritized from the agent
+/// config, sampling from its own stream of the agent seed.
+pub fn apex_shard(agent: &DqnConfig, shard: usize) -> ShardCore {
+    ShardCore::new(agent.memory_capacity, agent.alpha, agent.seed.wrapping_add(1000 + shard as u64))
+}
+
+/// Builds rollout replica `w` of `num_workers` over `envs`: a token
+/// local memory (workers do not learn), its rung of the
+/// [`apex_worker_epsilon`] ladder held constant, and a seed
+/// decorrelated across replicas and across a replica's `incarnation`s
+/// (0 for the first build of slot `w`, +1 per supervised restart or
+/// elastic respawn) — a reincarnation reusing its predecessor's seed
+/// would replay the same action stream and fill the shards with
+/// duplicated trajectories.
+///
+/// # Errors
+///
+/// [`RlError::Core`] when the envs disagree on their spaces; agent
+/// build errors.
+pub fn apex_replica(
+    agent: &DqnConfig,
+    w: usize,
+    num_workers: usize,
+    incarnation: u64,
+    envs: Vec<Box<dyn Env>>,
+) -> RlResult<ApexWorker> {
+    let eps = apex_worker_epsilon(w, num_workers);
+    let config = DqnConfig {
+        memory_capacity: 16,
+        seed: agent
+            .seed
+            .wrapping_add(w as u64 * 7919)
+            .wrapping_add(incarnation.wrapping_mul(0x9E37_79B9)),
+        epsilon: EpsilonSchedule { start: eps, end: eps, decay_steps: 1 },
+        ..agent.clone()
+    };
+    let envs = VectorEnv::new(envs).map_err(|e| RlError::Core(CoreError::new(e.message())))?;
+    Ok(ApexWorker::new(config, envs)?)
+}
+
+/// One learner update on a sampled batch. Returns the loss and the
+/// batch's new priorities (its absolute TD errors) against the shard
+/// slots they belong to, for the shard's `update_priorities`.
+///
+/// # Errors
+///
+/// Agent update errors.
+pub fn apex_learn_step(
+    learner: &mut DqnAgent,
+    batch: ShardBatch,
+) -> RlResult<(f32, Vec<usize>, Vec<f32>)> {
+    let [s, a, r, s2, t] = batch.tensors;
+    let (loss, td) = learner.update_from_batch([s, a, r, s2, t, batch.weights])?;
+    Ok((loss, batch.indices, td.as_f32().map_err(CoreError::from)?.to_vec()))
 }
 
 /// Outcome of one [`ShardPort::sample`] pull.
@@ -220,7 +286,7 @@ where
     let env_factory = Arc::new(env_factory);
     let recorder = config.recorder.clone();
 
-    let graph = apex_graph(&config)?;
+    let graph = apex_graph(config.num_workers, config.num_shards, None)?;
     let restart_policy = RetryPolicy {
         max_attempts: config.max_worker_restarts,
         base_delay: Duration::from_millis(1),
@@ -236,15 +302,15 @@ where
             let lanes = exec.lanes::<ShardRequest>("rollout", "replay")?;
             let bodies: Vec<_> = lanes.iter().map(|l| l.receiver()).collect();
             let rec = recorder.clone();
-            let (capacity, alpha, seed) =
-                (config.agent.memory_capacity, config.agent.alpha, config.agent.seed);
+            let agent = config.agent.clone();
             exec.spawn_stage("replay", move |i| {
                 let rx = bodies[i].clone();
                 let rec = rec.clone();
+                let agent = agent.clone();
                 move |_stop: &AtomicBool| {
                     // A fresh core per (re)incarnation: a crashed shard
                     // restarts empty, exactly like a restarted process.
-                    let core = ShardCore::new(capacity, alpha, seed.wrapping_add(1000 + i as u64));
+                    let core = apex_shard(&agent, i);
                     let metrics = ShardServeMetrics::fragment(&rec, "replay");
                     serve_shard(&rx, core, &rec, &metrics);
                     Ok(())
@@ -258,11 +324,7 @@ where
             let metrics = Arc::new(ShardServeMetrics::fragment(&recorder, "replay"));
             (0..config.num_shards)
                 .map(|i| {
-                    let core = ShardCore::new(
-                        config.agent.memory_capacity,
-                        config.agent.alpha,
-                        config.agent.seed.wrapping_add(1000 + i as u64),
-                    );
+                    let core = apex_shard(&config.agent, i);
                     ShardPort::Inline(Arc::new(Mutex::new(core)), metrics.clone())
                 })
                 .collect()
@@ -290,12 +352,7 @@ where
             let samples = samples.clone();
             let rewards = rewards.clone();
             let env_factory = env_factory.clone();
-            let mut worker_cfg = config.agent.clone();
-            worker_cfg.memory_capacity = 16; // workers do not learn locally
-            worker_cfg.seed = config.agent.seed.wrapping_add(w as u64 * 7919);
-            let eps = apex_worker_epsilon(w, config.num_workers);
-            worker_cfg.epsilon =
-                rlgraph_agents::EpsilonSchedule { start: eps, end: eps, decay_steps: 1 };
+            let (agent, num_workers) = (config.agent.clone(), config.num_workers);
             let (task_size, envs_per_worker) = (config.task_size, config.envs_per_worker);
             let fault_plan = config.fault_plan.clone();
             let retry = config.retry.clone();
@@ -307,13 +364,9 @@ where
             let mut task: u64 = 0;
             let mut incarnation: u64 = 0;
             move |stop: &AtomicBool| {
-                let envs =
-                    VectorEnv::new((0..envs_per_worker).map(|e| env_factory(w, e)).collect())
-                        .map_err(|e| RlError::Core(CoreError::new(e.message())))?;
-                let mut cfg = worker_cfg.clone();
-                cfg.seed = cfg.seed.wrapping_add(incarnation.wrapping_mul(0x9E37_79B9));
+                let envs = (0..envs_per_worker).map(|e| env_factory(w, e)).collect();
+                let mut worker = apex_replica(&agent, w, num_workers, incarnation, envs)?;
                 incarnation += 1;
-                let mut worker = ApexWorker::new(cfg, envs)?;
                 let sleeper = ThreadSleeper::new();
                 let task_us = rec.histogram("frag.rollout.task_us");
                 let sync_latency_us = rec.histogram("weight_sync.latency_us");
@@ -399,19 +452,17 @@ where
                 ShardPull::TimedOut => continue,
                 ShardPull::Gone => break,
             };
-            let [s, a, r, s2, t] = batch.tensors;
             let t_step = Instant::now();
-            let (loss, td) = {
+            let (loss, indices, priorities) = {
                 let _span = recorder.span("learner.step");
-                learner.update_from_batch([s, a, r, s2, t, batch.weights])?
+                apex_learn_step(&mut learner, batch)?
             };
             step_us.record_duration(t_step.elapsed());
             loss_gauge.set(loss as f64);
             updates_ctr.inc();
             losses.push(loss);
             updates += 1;
-            let priorities = td.as_f32().map_err(CoreError::from)?.to_vec();
-            ports[(rr - 1) % ports.len()].update_priorities(batch.indices, priorities);
+            ports[(rr - 1) % ports.len()].update_priorities(indices, priorities);
             if updates.is_multiple_of(config.weight_sync_interval) {
                 let _span = recorder.span("learner.weight_broadcast");
                 let weights = learner.get_weights();
@@ -492,7 +543,7 @@ mod tests {
             num_shards: 2,
             ..ApexRunConfig::default()
         };
-        let g = apex_graph(&config).unwrap();
+        let g = apex_graph(config.num_workers, config.num_shards, None).unwrap();
         assert_eq!(g.replicas("rollout"), 3);
         assert_eq!(g.replicas("replay"), 2);
         assert_eq!(g.replicas("learn"), 1);

@@ -34,7 +34,10 @@ mod stepped;
 
 pub mod exec;
 
-pub use apex::{apex_graph, default_apex_placement, run_apex_fragments, ShardPort, ShardPull};
+pub use apex::{
+    apex_graph, apex_learn_step, apex_replica, apex_shard, default_apex_placement,
+    run_apex_fragments, ShardPort, ShardPull,
+};
 pub use edge::EdgeLane;
 pub use elastic::{ElasticStage, ScaleEvent};
 pub use exec::FragmentExecutor;

@@ -44,7 +44,7 @@ pub use cluster::{
     Autoscaler, AutoscalerConfig, HashRing, MembershipTable, MembershipView, ScaleDecision,
     ScaleSignals,
 };
-pub use driver::{DriverCommon, DriverConfigBuilder, RunBudget};
+pub use driver::{DriverConfigBuilder, RunBudget};
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultPlanBuilder};
 pub use fragment::{
     apex_graph, default_apex_placement, default_impala_placement, impala_graph, run_apex_fragments,

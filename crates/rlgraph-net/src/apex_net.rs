@@ -27,7 +27,7 @@ use crate::transport::Transport;
 use rlgraph_agents::{DqnAgent, DqnConfig};
 use rlgraph_core::{CoreError, RlResult};
 use rlgraph_dist::checkpoint::LearnerCheckpoint;
-use rlgraph_dist::fragment::ElasticStage;
+use rlgraph_dist::fragment::{apex_learn_step, apex_shard, ElasticStage};
 use rlgraph_dist::sync::WeightHub;
 use rlgraph_dist::{Autoscaler, AutoscalerConfig, ScaleDecision, ScaleSignals};
 use rlgraph_obs::{merged_chrome_trace, DeltaTracker, ProcessTrace, Recorder};
@@ -642,11 +642,7 @@ pub fn run_apex_net(config: NetApexConfig) -> RlResult<NetApexStats> {
     // Replay shards, each behind its own RPC server.
     let mut shard_servers = Vec::with_capacity(config.num_shards);
     for i in 0..config.num_shards {
-        let service = Arc::new(ShardService::new(
-            config.agent.memory_capacity,
-            config.agent.alpha,
-            config.agent.seed.wrapping_add(1000 + i as u64),
-        ));
+        let service = Arc::new(ShardService::serving(apex_shard(&config.agent, i)));
         shard_servers.push(config.transport.spawn(
             &format!("shard-{}", i),
             service,
@@ -814,9 +810,8 @@ pub fn run_apex_net(config: NetApexConfig) -> RlResult<NetApexStats> {
             Err(e) if e.is_retryable() => continue,
             Err(e) => return Err(e),
         };
-        let [s, a, r, s2, t] = batch.tensors;
         let t0 = Instant::now();
-        let (loss, td) = learner.update_from_batch([s, a, r, s2, t, batch.weights])?;
+        let (loss, indices, priorities) = apex_learn_step(&mut learner, batch)?;
         step_us.record_duration(t0.elapsed());
         updates_ctr.inc();
         losses.push(loss);
@@ -824,8 +819,7 @@ pub fn run_apex_net(config: NetApexConfig) -> RlResult<NetApexStats> {
         if let Some(el) = elastic_state.as_mut() {
             el.observe_iteration(false);
         }
-        let priorities = td.as_f32().map_err(CoreError::from)?.to_vec();
-        if let Err(e) = shard_clients[idx].update_priorities(&batch.indices, &priorities) {
+        if let Err(e) = shard_clients[idx].update_priorities(&indices, &priorities) {
             if !e.is_retryable() {
                 return Err(e);
             }

@@ -16,7 +16,8 @@
 //!   taxonomy (errors cross the wire with their severity class intact).
 //! * [`rpc`] — thread-per-connection request/response RPC with request
 //!   ids, per-call deadlines, and retry/backoff via
-//!   [`RetryPolicy`](rlgraph_dist::RetryPolicy).
+//!   [`RetryPolicy`](rlgraph_dist::RetryPolicy): the blocking schedule
+//!   over `rlgraph_reactor::call`, where the call protocol lives.
 //! * [`services`] — replay shards and the learner coordinator as RPC
 //!   services with typed clients.
 //! * [`proc`] — worker specs and the re-exec child launcher.
@@ -48,7 +49,7 @@ pub use apex_net::{
     run_apex_net, ElasticConfig, LaunchMode, NetApexConfig, NetApexConfigBuilder, NetApexStats,
     ThroughputPoint,
 };
-pub use fragment_remote::{net_apex_graph, net_apex_placement, validate_net_apex};
+pub use fragment_remote::{net_apex_placement, validate_net_apex};
 pub use frame::{
     read_frame, write_frame, FrameKind, FRAME_OVERHEAD, MAGIC, MAX_FRAME_LEN, VERSION,
 };

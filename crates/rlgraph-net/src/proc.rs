@@ -17,11 +17,11 @@
 use crate::services::{CoordClient, Heartbeat, ShardClient};
 use rlgraph_agents::apex::ApexWorker;
 use rlgraph_agents::DqnConfig;
-use rlgraph_core::{CoreError, RlError, RlResult};
+use rlgraph_core::{RlError, RlResult};
 use rlgraph_dist::cluster::HashRing;
-use rlgraph_dist::ray::apex_worker_epsilon;
+use rlgraph_dist::fragment::apex_replica;
 use rlgraph_dist::retry::{RetryPolicy, ThreadSleeper};
-use rlgraph_envs::{CartPole, Env, RandomEnv, VectorEnv};
+use rlgraph_envs::{CartPole, Env, RandomEnv};
 use rlgraph_obs::{DeltaTracker, Recorder, DEFAULT_FLIGHT_CAPACITY};
 use std::net::SocketAddr;
 use std::time::Duration;
@@ -208,6 +208,23 @@ pub fn run_worker(spec: &WorkerSpec) -> RlResult<()> {
     result
 }
 
+/// The rollout replica `spec` describes: the recipe every Ape-X driver
+/// shares, over this worker's env copies. Membership generations count
+/// from 1 (0 is a fixed fleet) and incarnations from 0, so a fixed
+/// fleet and every first spawn draw the same seed, and an elastic
+/// respawn into the slot draws a fresh one.
+fn build_replica(spec: &WorkerSpec) -> RlResult<ApexWorker> {
+    let envs =
+        (0..spec.envs_per_worker).map(|e| spec.env.build((spec.worker * 10 + e) as u64)).collect();
+    apex_replica(
+        &spec.agent,
+        spec.worker as usize,
+        spec.num_workers as usize,
+        spec.generation.saturating_sub(1),
+        envs,
+    )
+}
+
 fn run_worker_inner(spec: &WorkerSpec, recorder: &Recorder) -> RlResult<()> {
     let deadline = (spec.rpc_deadline_ms > 0).then(|| Duration::from_millis(spec.rpc_deadline_ms));
     let mut coord =
@@ -230,19 +247,7 @@ fn run_worker_inner(spec: &WorkerSpec, recorder: &Recorder) -> RlResult<()> {
         shards.push(c);
     }
 
-    // Same per-worker setup as the in-process executor: tiny local
-    // memory (workers never learn), ladder exploration, decorrelated
-    // seed.
-    let mut cfg = spec.agent.clone();
-    cfg.memory_capacity = 16;
-    cfg.seed = spec.agent.seed.wrapping_add(spec.worker as u64 * 7919);
-    let eps = apex_worker_epsilon(spec.worker as usize, spec.num_workers as usize);
-    cfg.epsilon = rlgraph_agents::EpsilonSchedule { start: eps, end: eps, decay_steps: 1 };
-    let envs = VectorEnv::new(
-        (0..spec.envs_per_worker).map(|e| spec.env.build((spec.worker * 10 + e) as u64)).collect(),
-    )
-    .map_err(|e| RlError::Core(CoreError::new(e.message())))?;
-    let mut worker = ApexWorker::new(cfg, envs)?;
+    let mut worker = build_replica(spec)?;
 
     let policy = RetryPolicy {
         max_attempts: 8,
@@ -358,5 +363,41 @@ fn run_worker_inner(spec: &WorkerSpec, recorder: &Recorder) -> RlResult<()> {
         if spec.task_throttle_ms > 0 {
             std::thread::sleep(Duration::from_millis(spec.task_throttle_ms));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// An elastic respawn (generation 2 at a slot) must not replay its
+    /// predecessor's action stream; a fixed fleet (generation 0) and a
+    /// first spawn (generation 1) keep the seed they always had.
+    #[test]
+    fn a_respawned_worker_draws_a_fresh_agent_seed() {
+        let agent = DqnConfig { seed: 11, ..DqnConfig::default() };
+        let seed_at = |generation: u64| {
+            let spec = WorkerSpec {
+                worker: 3,
+                num_workers: 4,
+                agent: agent.clone(),
+                env: EnvSpec::Random { shape: vec![4], actions: 2, episode_len: 20 },
+                envs_per_worker: 2,
+                task_size: 8,
+                coord_addr: String::new(),
+                shard_addrs: Vec::new(),
+                rpc_deadline_ms: 0,
+                telemetry: false,
+                compression: false,
+                generation,
+                die_after_tasks: None,
+                task_throttle_ms: 0,
+            };
+            build_replica(&spec).unwrap().agent_mut().config().seed
+        };
+        assert_eq!(seed_at(0), 11 + 3 * 7919);
+        assert_eq!(seed_at(1), seed_at(0));
+        assert_eq!(seed_at(2), seed_at(0) + 0x9E37_79B9);
+        assert_ne!(seed_at(3), seed_at(2));
     }
 }

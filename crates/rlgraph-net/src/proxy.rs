@@ -21,6 +21,7 @@
 //! at all, simulating a partition that heals when the config says so.
 
 use rlgraph_core::RlResult;
+use rlgraph_dist::fault::splitmix64;
 use rlgraph_obs::Recorder;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -268,13 +269,4 @@ fn pump_loop(
     // unblock promptly instead of waiting out their timeouts.
     let _ = from.shutdown(Shutdown::Both);
     let _ = to.shutdown(Shutdown::Both);
-}
-
-/// SplitMix64 finalizer — same mixer as `rlgraph_dist::fault`, so one
-/// seed convention spans thread-level and network-level chaos.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }

@@ -1,4 +1,7 @@
-//! Request/response RPC over `std::net::TcpStream`.
+//! Request/response RPC over `std::net::TcpStream`: the blocking I/O
+//! schedule over the call protocol in [`rlgraph_reactor::call`]
+//! (payloads, trace edge, latency histograms, serving one request),
+//! which the reactor's mux stack schedules from an event loop instead.
 //!
 //! The server is thread-per-connection: an accept loop hands each peer
 //! to a handler thread that reads request frames, dispatches into an
@@ -44,18 +47,19 @@
 //! span id, and ships the context as a [`FrameKind::RequestTraced`]
 //! prefix. The server decodes it, opens a handler span flow-linked to
 //! the same id, and installs the context for the handler thread
-//! ([`ContextScope`]) so nested outbound calls chain onto the same
-//! trace. With a disabled recorder the client emits plain
-//! [`FrameKind::Request`] frames — byte-identical to untraced builds.
+//! ([`ContextScope`](rlgraph_obs::ContextScope)) so nested outbound
+//! calls chain onto the same trace. With a disabled recorder the client
+//! emits plain [`FrameKind::Request`] frames — byte-identical to
+//! untraced builds.
 
-use crate::codec::{get_rl_error, get_trace_context, put_rl_error, put_trace_context};
-use crate::frame::{read_frame_info_metered, write_frame_lz_metered, FrameKind, FrameMeter};
-use crate::wire::{ByteReader, ByteWriter};
+use crate::frame::{read_frame_info_metered, write_encoded_metered, FrameKind, FrameMeter};
 use rlgraph_core::{RlError, RlResult};
 use rlgraph_dist::retry::{RetryPolicy, Sleep, ThreadSleeper};
-use rlgraph_obs::{ContextScope, Recorder, TraceContext};
+use rlgraph_obs::{Recorder, TraceContext};
+use rlgraph_reactor::call::{
+    decode_request, decode_response, encode_request, trace_edge, CallLatency, Handler,
+};
 use rlgraph_reactor::sys;
-use std::collections::HashMap;
 use std::io::Read;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -327,7 +331,6 @@ fn accept_loop(
     conns_open.set(0.0);
 }
 
-#[allow(clippy::too_many_arguments)]
 fn connection_loop(
     stream: &TcpStream,
     service: Arc<dyn RpcService>,
@@ -339,16 +342,13 @@ fn connection_loop(
 ) {
     let _ = stream.set_nodelay(true);
     let meter = FrameMeter::for_service(&recorder, &svc_name);
-    let rpc_us = recorder.histogram("net.server.rpc_us");
-    // Per-method histograms, registered lazily on first use so the
-    // registry only holds methods this connection actually served.
-    let mut method_us: HashMap<u16, rlgraph_obs::Histogram> = HashMap::new();
+    let mut handler = Handler::new(service, &recorder);
     loop {
         // The idle clock re-arms per frame: quiet *between* requests is
         // reapable, a slow sender mid-frame is not.
         let mut reader = StopReader::new(stream, &stop, idle_timeout);
-        let (kind, payload, lz) = match read_frame_info_metered(&mut reader, &meter) {
-            Ok(f) => (f.kind, f.payload, f.lz_ok),
+        let frame = match read_frame_info_metered(&mut reader, &meter) {
+            Ok(frame) => frame,
             // EOF, reset, stop, idle reap: the connection is done either
             // way. A protocol violation also closes — the stream is
             // untrusted.
@@ -359,64 +359,11 @@ fn connection_loop(
                 return;
             }
         };
-        let t0 = Instant::now();
-        let mut req = ByteReader::new(&payload);
-        let ctx = match kind {
-            FrameKind::Request => None,
-            FrameKind::RequestTraced => match get_trace_context(&mut req) {
-                Ok(c) => Some(c),
-                Err(_) => return, // malformed context prefix: close
-            },
-            // A client sending responses is not speaking our protocol,
-            // and the blocking stack does not speak the mux stack's
-            // heartbeat extension.
-            FrameKind::Response | FrameKind::Ping | FrameKind::Pong => return,
-        };
-        let (req_id, method) = match (req.get_u64(), req.get_u16()) {
-            (Ok(id), Ok(m)) => (id, m),
-            _ => return, // malformed request header: close
-        };
-        let body = req.get_bytes(req.remaining()).expect("remaining bytes");
-        let result = {
-            // Handler span flow-linked to the request's span id, with
-            // the context installed so nested outbound calls chain.
-            let _scope = ctx.map(ContextScope::enter);
-            let _span = ctx.filter(|c| recorder.is_enabled() && c.is_sampled()).map(|c| {
-                recorder
-                    .span(format!("rpc.serve.{}", service.method_name(method)))
-                    .flow_in(c.span_id)
-            });
-            service.call(method, body)
-        };
-        let elapsed = t0.elapsed();
-        rpc_us.record_duration(elapsed);
-        method_us
-            .entry(method)
-            .or_insert_with(|| {
-                recorder.histogram(&format!("net.rpc.serve.{}.us", service.method_name(method)))
-            })
-            .record_duration(elapsed);
-        let mut resp = ByteWriter::with_capacity(16);
-        resp.put_u64(req_id);
-        match result {
-            Ok(reply) => {
-                resp.put_u8(0);
-                resp.put_bytes(&reply);
-            }
-            Err(e) => {
-                resp.put_u8(1);
-                put_rl_error(&mut resp, &e);
-            }
-        }
-        // Compressed iff the request carried the LZ hint.
-        let write = write_frame_lz_metered(
-            &mut &*stream,
-            FrameKind::Response,
-            &resp.into_bytes(),
-            lz,
-            &meter,
-        );
-        if write.is_err() {
+        // Malformed, a response, or the mux stack's heartbeat extension
+        // (which this stack does not speak): close.
+        let Ok(req) = decode_request(frame.kind, &frame.payload) else { return };
+        let reply = handler.serve(&req, frame.lz_ok);
+        if write_encoded_metered(&mut &*stream, &reply, &meter).is_err() {
             return;
         }
     }
@@ -436,11 +383,9 @@ pub struct RpcClient {
     lz: bool,
     recorder: Recorder,
     meter: FrameMeter,
-    rpc_us: rlgraph_obs::Histogram,
+    latency: CallLatency,
     reconnects: rlgraph_obs::Counter,
     method_names: fn(u16) -> &'static str,
-    /// Per-method latency histogram + span label, cached by method id.
-    method_obs: HashMap<u16, (rlgraph_obs::Histogram, String)>,
     /// The one request sent by [`RpcClient::call_deferred`] whose
     /// response has not been read yet (req id + armed expiry).
     deferred: Option<(u64, Option<Instant>)>,
@@ -479,10 +424,9 @@ impl RpcClient {
             lz: true,
             recorder: recorder.clone(),
             meter: FrameMeter::new(recorder),
-            rpc_us: recorder.histogram("net.rpc_us"),
+            latency: CallLatency::client(recorder),
             reconnects: recorder.counter("net.reconnects"),
             method_names: unnamed_method,
-            method_obs: HashMap::new(),
             deferred: None,
             prefetch: None,
         };
@@ -512,22 +456,11 @@ impl RpcClient {
     /// latency histograms (`net.rpc.<name>.us`) and client spans.
     pub fn set_method_names(&mut self, f: fn(u16) -> &'static str) {
         self.method_names = f;
-        self.method_obs.clear();
-    }
-
-    fn method_obs(&mut self, method: u16) -> &(rlgraph_obs::Histogram, String) {
-        let names = self.method_names;
-        let recorder = &self.recorder;
-        self.method_obs.entry(method).or_insert_with(|| {
-            let name = names(method);
-            (recorder.histogram(&format!("net.rpc.{}.us", name)), format!("rpc.{}", name))
-        })
+        self.latency = CallLatency::client(&self.recorder);
     }
 
     fn record_latency(&mut self, method: u16, t0: Instant) {
-        let elapsed = t0.elapsed();
-        self.rpc_us.record_duration(elapsed);
-        self.method_obs(method).0.record_duration(elapsed);
+        self.latency.record(method, (self.method_names)(method), t0.elapsed());
     }
 
     fn ensure_connected(&mut self) -> RlResult<()> {
@@ -582,29 +515,18 @@ impl RpcClient {
         let req_id = self.next_req_id;
         let result = (|| {
             self.ensure_connected()?;
-            let mut payload = ByteWriter::with_capacity(30 + body.len());
-            let kind = match &ctx {
-                Some(c) => {
-                    put_trace_context(&mut payload, c);
-                    FrameKind::RequestTraced
-                }
-                None => FrameKind::Request,
-            };
-            payload.put_u64(req_id);
-            payload.put_u16(method);
-            payload.put_bytes(body);
+            let frame = encode_request(ctx.as_ref(), req_id, method, body, self.lz)?;
             let stream = self.stream.as_ref().expect("connected above");
             arm_timeouts(stream, expiry)?;
-            write_frame_lz_metered(&mut &*stream, kind, &payload.into_bytes(), self.lz, &self.meter)
+            write_encoded_metered(&mut &*stream, &frame, &self.meter)
         })();
         result.map(|()| req_id).map_err(|e| self.poison(e, method, expiry.is_some()))
     }
 
-    /// Reads the response frame for `req_id` — the one place a response
-    /// is parsed. Outer error: transport/protocol/deadline failure
-    /// (stream poisoned). Inner error: the remote service's typed reply,
-    /// which arrives on a clean, well-framed stream — the connection is
-    /// kept.
+    /// Reads the response frame for `req_id`. Outer error:
+    /// transport/protocol/deadline failure (stream poisoned). Inner
+    /// error: the remote service's typed reply, which arrives on a
+    /// clean, well-framed stream — the connection is kept.
     fn read_reply(
         &mut self,
         req_id: u64,
@@ -624,19 +546,14 @@ impl RpcClient {
                     self.peer, frame.kind
                 )));
             }
-            let mut r = ByteReader::new(&frame.payload);
-            let got_id = r.get_u64()?;
+            let (got_id, reply) = decode_response(&frame.payload)?;
             if got_id != req_id {
                 return Err(RlError::Protocol(format!(
                     "{} answered request {} while {} was pending",
                     self.peer, got_id, req_id
                 )));
             }
-            match r.get_u8()? {
-                0 => Ok(Ok(r.get_bytes(r.remaining()).expect("remaining").to_vec())),
-                1 => Ok(Err(get_rl_error(&mut r)?)),
-                other => Err(RlError::Protocol(format!("unknown response status {}", other))),
-            }
+            Ok(reply)
         })();
         result.map_err(|e| self.poison(e, method, expiry.is_some()))
     }
@@ -664,16 +581,7 @@ impl RpcClient {
         self.resolve_prefetch();
         let t0 = Instant::now();
         let expiry = deadline.map(|d| t0 + d);
-        // Tracing: when the recorder records, derive a child context and
-        // open a client span flow-linked to the child's span id — the
-        // remote handler span adopts the same id from the wire.
-        let (ctx, _span) = if self.recorder.is_enabled() {
-            let child = TraceContext::current_or_root().child();
-            let span_name = self.method_obs(method).1.clone();
-            (Some(child), Some(self.recorder.span(span_name).flow_out(child.span_id)))
-        } else {
-            (None, None)
-        };
+        let (ctx, _span) = trace_edge(&self.recorder, (self.method_names)(method));
         let result = self
             .send(method, body, expiry, ctx)
             .and_then(|req_id| self.read_reply(req_id, method, expiry));

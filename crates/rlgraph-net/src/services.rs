@@ -111,7 +111,14 @@ impl ShardService {
     /// Wraps a fresh [`ShardCore`] with the given capacity, priority
     /// exponent, and sampling seed.
     pub fn new(capacity: usize, alpha: f32, seed: u64) -> Self {
-        ShardService { core: Mutex::new(ShardCore::new(capacity, alpha, seed)) }
+        Self::serving(ShardCore::new(capacity, alpha, seed))
+    }
+
+    /// Serves an already-built core (a run's [`apex_shard`]).
+    ///
+    /// [`apex_shard`]: rlgraph_dist::fragment::apex_shard
+    pub fn serving(core: ShardCore) -> Self {
+        ShardService { core: Mutex::new(core) }
     }
 }
 

@@ -14,6 +14,7 @@ use std::time::Duration;
 
 const ECHO: u16 = 1;
 const FAIL: u16 = 2;
+const HUGE: u16 = 3;
 
 struct EchoService;
 
@@ -22,6 +23,8 @@ impl RpcService for EchoService {
         match method {
             ECHO => Ok(body.to_vec()),
             FAIL => Err(RlError::MailboxFull { capacity: 3 }),
+            // A reply one byte too large for any frame.
+            HUGE => Ok(vec![0u8; rlgraph_net::MAX_FRAME_LEN as usize + 1]),
             other => Err(RlError::Protocol(format!("unknown method {}", other))),
         }
     }
@@ -35,6 +38,7 @@ fn method_names(method: u16) -> &'static str {
     match method {
         ECHO => "echo",
         FAIL => "fail",
+        HUGE => "huge",
         _ => "other",
     }
 }
@@ -105,7 +109,10 @@ fn flow_linkage_across_stacks() {
     assert!(matches!(handler.kind, DumpKind::Complete { .. }));
 }
 
-/// Both transports behave identically through the `Transport` switch.
+/// Both transports behave identically through the `Transport` switch —
+/// down to the reply that cannot be framed: the caller gets the typed
+/// frame-limit error (fatal, so `call_retry` does not go round again
+/// for a reply that can never fit) on a connection that stays up.
 #[test]
 fn transport_switch_is_behavior_preserving() {
     for transport in [Transport::Blocking, Transport::Reactor] {
@@ -119,6 +126,13 @@ fn transport_switch_is_behavior_preserving() {
             client.call(ECHO, b"same wire", Some(Duration::from_secs(5))).unwrap(),
             b"same wire"
         );
+        let err = client.call(HUGE, b"", Some(Duration::from_secs(30))).unwrap_err();
+        assert!(
+            matches!(err, RlError::Protocol(ref m) if m.contains("limit")) && err.is_fatal(),
+            "{transport:?}: oversized reply must surface as the frame-limit error, got {err}"
+        );
+        assert_eq!(client.call(ECHO, b"still-alive", None).unwrap(), b"still-alive");
+        assert_eq!(recorder.counter("net.reconnects").value(), 0, "{transport:?} dropped us");
         server.shutdown();
     }
 }

@@ -85,8 +85,11 @@ fn parse_version(word: u16) -> Result<u8, String> {
 /// length field fails fast instead of allocating the heap away.
 pub const MAX_FRAME_LEN: u32 = 256 * 1024 * 1024;
 
+/// Bytes of frame header before the payload.
+const HEADER_LEN: usize = 4 + 2 + 2 + 4;
+
 /// Bytes of framing overhead around a payload (header + CRC trailer).
-pub const FRAME_OVERHEAD: usize = 4 + 2 + 2 + 4 + 4;
+pub const FRAME_OVERHEAD: usize = HEADER_LEN + 4;
 
 /// What a frame carries; the dispatch tag peers switch on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -211,7 +214,7 @@ fn write_frame_flags(
         )));
     }
     let word = (VERSION as u16) | ((flags as u16) << 8);
-    let mut header = [0u8; 12];
+    let mut header = [0u8; HEADER_LEN];
     header[0..4].copy_from_slice(&MAGIC.to_le_bytes());
     header[4..6].copy_from_slice(&word.to_le_bytes());
     header[6..8].copy_from_slice(&kind.to_u16().to_le_bytes());
@@ -223,24 +226,18 @@ fn write_frame_flags(
     Ok(())
 }
 
-/// [`encode_frame_lz`] straight onto a stream, with wire-level byte
-/// accounting: the meter counts the bytes that actually cross the wire
-/// (the compressed length when compression won), plus framing overhead.
+/// Writes one encoded frame (the output of [`encode_frame_lz`]) and
+/// flushes, with wire-level byte accounting: the meter counts the bytes
+/// that actually cross the wire (the compressed length when compression
+/// won), plus framing overhead.
 ///
 /// # Errors
 ///
-/// As [`write_frame`].
-pub fn write_frame_lz_metered(
-    w: &mut impl Write,
-    kind: FrameKind,
-    payload: &[u8],
-    lz: bool,
-    meter: &FrameMeter,
-) -> RlResult<()> {
-    let buf = encode_frame_lz(kind, payload, lz)?;
-    w.write_all(&buf)?;
+/// `RlError::Io` on transport failure.
+pub fn write_encoded_metered(w: &mut impl Write, frame: &[u8], meter: &FrameMeter) -> RlResult<()> {
+    w.write_all(frame)?;
     w.flush()?;
-    meter.count_tx(buf.len() - FRAME_OVERHEAD);
+    meter.count_tx(frame.len().saturating_sub(FRAME_OVERHEAD));
     Ok(())
 }
 
@@ -285,9 +282,17 @@ pub fn read_frame_info_metered(r: &mut impl Read, meter: &FrameMeter) -> RlResul
     Ok(frame)
 }
 
-fn read_frame_info(r: &mut impl Read) -> RlResult<Frame> {
-    let mut header = [0u8; 12];
-    r.read_exact(&mut header)?;
+/// A validated frame header.
+struct Header {
+    flags: u8,
+    kind: FrameKind,
+    len: usize,
+}
+
+/// The one header check both readers run, as soon as the 12 bytes are
+/// in: magic, version word, kind, and the length bound — before any
+/// allocation for a payload a corrupt length field may have invented.
+fn parse_header(header: &[u8; HEADER_LEN]) -> RlResult<Header> {
     let magic = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
     if magic != MAGIC {
         return Err(RlError::Protocol(format!("bad magic 0x{:08x}", magic)));
@@ -302,23 +307,35 @@ fn read_frame_info(r: &mut impl Read) -> RlResult<Frame> {
             len, MAX_FRAME_LEN
         )));
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
-    let mut crc_bytes = [0u8; 4];
-    r.read_exact(&mut crc_bytes)?;
-    let expected = u32::from_le_bytes(crc_bytes);
+    Ok(Header { flags, kind, len: len as usize })
+}
+
+/// The one payload check both readers run once the whole frame is in:
+/// CRC over the bytes as transmitted, then decompression when flagged.
+fn finish_frame(header: &Header, mut payload: Vec<u8>, expected_crc: u32) -> RlResult<Frame> {
     let actual = crc32(&payload);
-    if actual != expected {
+    if actual != expected_crc {
         return Err(RlError::Protocol(format!(
             "payload checksum mismatch: computed 0x{:08x}, frame says 0x{:08x}",
-            actual, expected
+            actual, expected_crc
         )));
     }
     let wire_len = payload.len();
-    if flags & FLAG_COMPRESSED != 0 {
+    if header.flags & FLAG_COMPRESSED != 0 {
         payload = compress::decompress(&payload, MAX_FRAME_LEN as usize)?;
     }
-    Ok(Frame { kind, payload, lz_ok: flags & CAP_LZ != 0, wire_len })
+    Ok(Frame { kind: header.kind, payload, lz_ok: header.flags & CAP_LZ != 0, wire_len })
+}
+
+fn read_frame_info(r: &mut impl Read) -> RlResult<Frame> {
+    let mut header = [0u8; HEADER_LEN];
+    r.read_exact(&mut header)?;
+    let header = parse_header(&header)?;
+    let mut payload = vec![0u8; header.len];
+    r.read_exact(&mut payload)?;
+    let mut crc = [0u8; 4];
+    r.read_exact(&mut crc)?;
+    finish_frame(&header, payload, u32::from_le_bytes(crc))
 }
 
 /// Encodes one plain frame into a fresh buffer — the nonblocking
@@ -375,7 +392,7 @@ pub fn encode_frame_lz(kind: FrameKind, payload: &[u8], lz: bool) -> RlResult<Ve
 pub struct FrameDecoder {
     buf: Vec<u8>,
     pos: usize,
-    poisoned: Option<String>,
+    poisoned: Option<RlError>,
 }
 
 impl FrameDecoder {
@@ -394,9 +411,9 @@ impl FrameDecoder {
         self.buf.len() - self.pos
     }
 
-    fn poison(&mut self, msg: String) -> RlError {
-        self.poisoned = Some(msg.clone());
-        RlError::Protocol(msg)
+    fn poison(&mut self, e: RlError) -> RlError {
+        self.poisoned = Some(e.clone());
+        e
     }
 
     /// Returns the next complete frame, `Ok(None)` if more bytes are
@@ -420,60 +437,33 @@ impl FrameDecoder {
     ///
     /// As [`FrameDecoder::next`].
     pub fn next_info(&mut self) -> RlResult<Option<Frame>> {
-        if let Some(msg) = &self.poisoned {
-            return Err(RlError::Protocol(msg.clone()));
+        if let Some(e) = &self.poisoned {
+            return Err(e.clone());
         }
         let avail = &self.buf[self.pos..];
-        if avail.len() < 12 {
+        let Some(header) = avail.first_chunk::<HEADER_LEN>() else {
             self.compact();
             return Ok(None);
-        }
-        let magic = u32::from_le_bytes(avail[0..4].try_into().expect("4 bytes"));
-        if magic != MAGIC {
-            return Err(self.poison(format!("bad magic 0x{:08x}", magic)));
-        }
-        let word = u16::from_le_bytes(avail[4..6].try_into().expect("2 bytes"));
-        let flags = match parse_version(word) {
-            Ok(flags) => flags,
-            Err(msg) => return Err(self.poison(msg)),
         };
-        let kind_raw = u16::from_le_bytes(avail[6..8].try_into().expect("2 bytes"));
-        let kind = match FrameKind::from_u16(kind_raw) {
-            Ok(kind) => kind,
-            Err(_) => return Err(self.poison(format!("unknown frame kind {}", kind_raw))),
+        let header = match parse_header(header) {
+            Ok(header) => header,
+            Err(e) => return Err(self.poison(e)),
         };
-        let len = u32::from_le_bytes(avail[8..12].try_into().expect("4 bytes"));
-        if len > MAX_FRAME_LEN {
-            return Err(self.poison(format!(
-                "declared payload of {} bytes exceeds the {} byte limit",
-                len, MAX_FRAME_LEN
-            )));
-        }
-        let total = 12 + len as usize + 4;
+        let total = HEADER_LEN + header.len + 4;
         if avail.len() < total {
             self.compact();
             return Ok(None);
         }
-        let mut payload = avail[12..12 + len as usize].to_vec();
-        let expected =
-            u32::from_le_bytes(avail[12 + len as usize..total].try_into().expect("4 bytes"));
-        let actual = crc32(&payload);
-        if actual != expected {
-            return Err(self.poison(format!(
-                "payload checksum mismatch: computed 0x{:08x}, frame says 0x{:08x}",
-                actual, expected
-            )));
+        let payload = avail[HEADER_LEN..total - 4].to_vec();
+        let crc = u32::from_le_bytes(avail[total - 4..total].try_into().expect("4 bytes"));
+        match finish_frame(&header, payload, crc) {
+            Ok(frame) => {
+                self.pos += total;
+                self.compact();
+                Ok(Some(frame))
+            }
+            Err(e) => Err(self.poison(e)),
         }
-        let wire_len = payload.len();
-        if flags & FLAG_COMPRESSED != 0 {
-            payload = match compress::decompress(&payload, MAX_FRAME_LEN as usize) {
-                Ok(p) => p,
-                Err(e) => return Err(self.poison(e.to_string())),
-            };
-        }
-        self.pos += total;
-        self.compact();
-        Ok(Some(Frame { kind, payload, lz_ok: flags & CAP_LZ != 0, wire_len }))
     }
 
     /// Reclaims consumed prefix bytes once they dominate the buffer, so
@@ -524,7 +514,8 @@ mod tests {
         let rec = rlgraph_obs::Recorder::wall();
         let meter = FrameMeter::for_service(&rec, "shard-0");
         let mut buf = Vec::new();
-        write_frame_lz_metered(&mut buf, FrameKind::Request, b"12345", false, &meter).unwrap();
+        let frame = encode_frame(FrameKind::Request, b"12345").unwrap();
+        write_encoded_metered(&mut buf, &frame, &meter).unwrap();
         let expected = (5 + FRAME_OVERHEAD) as u64;
         assert_eq!(rec.counter("net.bytes_tx").value(), expected);
         assert_eq!(rec.counter("net.svc.shard-0.bytes_tx").value(), expected);

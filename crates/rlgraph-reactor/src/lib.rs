@@ -34,7 +34,11 @@
 //!   the blocking one.
 //! * [`service`] — the [`RpcService`] dispatch
 //!   trait; `rlgraph-net`'s services plug into either stack unchanged.
-//! * [`mux`] — the multiplexed RPC protocol:
+//! * [`call`] — the RPC call protocol, written once for both stacks:
+//!   request/response payloads, the client's trace edge, latency
+//!   histograms, and serving one request into an [`RpcService`].
+//! * [`mux`] — the multiplexed RPC stack, an event-loop schedule over
+//!   [`call`]:
 //!   [`MuxServer`] (event loop + handler pool, many
 //!   in-flight request ids per connection, out-of-order completion)
 //!   and [`MuxClient`] (shareable, callback-based,
@@ -43,7 +47,8 @@
 //! The mux protocol is the blocking RPC stack's protocol — one frame
 //! format, one version word (checked, never negotiated: every peer is
 //! this build), the same `[req_id][method][body]` /
-//! `[req_id][status][body|error]` payloads — so a blocking
+//! `[req_id][status][body|error]` payloads out of the same [`call`]
+//! functions — so a blocking
 //! `RpcClient` can talk to a [`MuxServer`] and a
 //! [`MuxClient`] can talk to a blocking server (one
 //! request at a time). What changes is concurrency: the mux peers keep
@@ -52,6 +57,7 @@
 
 #![warn(missing_docs)]
 
+pub mod call;
 pub mod codec;
 pub mod compress;
 pub mod conn;

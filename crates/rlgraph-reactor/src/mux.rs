@@ -38,15 +38,16 @@
 //! reconnects on the next submission, mirroring the blocking client's
 //! reconnect-on-next-call contract.
 
-use crate::codec::{get_rl_error, get_trace_context, put_rl_error, put_trace_context};
+use crate::call::{
+    decode_request, decode_response, encode_request, trace_edge, CallLatency, Handler, Request,
+};
 use crate::conn::WriteQueue;
-use crate::frame::{encode_frame, encode_frame_lz, FrameDecoder, FrameKind, FrameMeter};
+use crate::frame::{encode_frame, FrameDecoder, FrameKind, FrameMeter};
 use crate::poll::{Interest, Poller, Token, Waker};
 use crate::service::RpcService;
 use crate::timer::{TimerKey, TimerWheel};
-use crate::wire::{ByteReader, ByteWriter};
 use rlgraph_core::{RlError, RlResult};
-use rlgraph_obs::{ContextScope, Recorder, SpanGuard, TraceContext};
+use rlgraph_obs::{Recorder, SpanGuard, TraceContext};
 use std::collections::HashMap;
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -277,9 +278,9 @@ impl Drop for MuxServer {
     }
 }
 
-/// One handler-pool thread: runs the service on decoded requests,
-/// mirroring the blocking server's span/histogram behavior exactly, and
-/// ships encoded response frames back to the event loop.
+/// One handler-pool thread: serves decoded requests through the shared
+/// call layer — the blocking server's `connection_loop` with the bytes
+/// coming from the job queue and going to the completion queue.
 fn handler_loop(
     rx: Arc<Mutex<mpsc::Receiver<Job>>>,
     service: Arc<dyn RpcService>,
@@ -287,52 +288,17 @@ fn handler_loop(
     completions: Arc<Mutex<Vec<Completion>>>,
     waker: Arc<Waker>,
 ) {
-    let rpc_us = recorder.histogram("net.server.rpc_us");
-    let mut method_us: HashMap<u16, rlgraph_obs::Histogram> = HashMap::new();
+    let mut handler = Handler::new(service, &recorder);
     loop {
         let job = match rx.lock().expect("mux job receiver lock").recv() {
             Ok(job) => job,
             Err(_) => return, // loop gone: shutdown
         };
-        let t0 = Instant::now();
-        let result = {
-            let _scope = job.ctx.map(ContextScope::enter);
-            let _span = job.ctx.filter(|c| recorder.is_enabled() && c.is_sampled()).map(|c| {
-                recorder
-                    .span(format!("rpc.serve.{}", service.method_name(job.method)))
-                    .flow_in(c.span_id)
-            });
-            service.call(job.method, &job.body)
-        };
-        let elapsed = t0.elapsed();
-        rpc_us.record_duration(elapsed);
-        method_us
-            .entry(job.method)
-            .or_insert_with(|| {
-                recorder.histogram(&format!("net.rpc.serve.{}.us", service.method_name(job.method)))
-            })
-            .record_duration(elapsed);
-        let mut resp = ByteWriter::with_capacity(16);
-        resp.put_u64(job.req_id);
-        match result {
-            Ok(reply) => {
-                resp.put_u8(0);
-                resp.put_bytes(&reply);
-            }
-            Err(e) => {
-                resp.put_u8(1);
-                put_rl_error(&mut resp, &e);
-            }
-        }
-        let frame = match encode_frame_lz(FrameKind::Response, &resp.into_bytes(), job.lz) {
-            Ok(frame) => frame,
-            // Response exceeds MAX_FRAME_LEN: the completion must still
-            // flow back — it balances the connection's inflight
-            // accounting (idle reaping, read backpressure) and the
-            // caller is owed a reply — so ship the typed encode error
-            // in place of the oversized body.
-            Err(e) => encode_error_response(job.req_id, &e),
-        };
+        let req = Request { ctx: job.ctx, req_id: job.req_id, method: job.method, body: &job.body };
+        // Always a frame, even for a reply too large to send: the
+        // completion balances the connection's inflight accounting
+        // (idle reaping, read backpressure).
+        let frame = handler.serve(&req, job.lz);
         completions.lock().expect("mux completion lock").push(Completion {
             slot: job.slot,
             gen: job.gen,
@@ -341,18 +307,6 @@ fn handler_loop(
         });
         waker.wake();
     }
-}
-
-/// Encodes a status-1 response frame carrying `err`. Errors serialize
-/// to a few hundred bytes at most, so this cannot itself overflow a
-/// frame; the expect documents that invariant rather than a reachable
-/// panic.
-fn encode_error_response(req_id: u64, err: &RlError) -> Vec<u8> {
-    let mut resp = ByteWriter::with_capacity(64);
-    resp.put_u64(req_id);
-    resp.put_u8(1);
-    put_rl_error(&mut resp, err);
-    encode_frame(FrameKind::Response, &resp.into_bytes()).expect("error response fits in a frame")
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -611,33 +565,18 @@ fn read_and_dispatch(
                         }
                     }
                     FrameKind::Pong => {}
-                    // A client sending responses is not speaking our
-                    // protocol.
-                    FrameKind::Response => return true,
-                    FrameKind::Request | FrameKind::RequestTraced => {
-                        let mut req = ByteReader::new(&payload);
-                        let ctx = if kind == FrameKind::RequestTraced {
-                            match get_trace_context(&mut req) {
-                                Ok(c) => Some(c),
-                                Err(_) => return true,
-                            }
-                        } else {
-                            None
-                        };
-                        let (req_id, method) = match (req.get_u64(), req.get_u16()) {
-                            (Ok(id), Ok(m)) => (id, m),
-                            _ => return true,
-                        };
-                        let body = req.get_bytes(req.remaining()).expect("remaining bytes");
+                    _ => {
+                        // Malformed, or a response: not our protocol.
+                        let Ok(req) = decode_request(kind, &payload) else { return true };
                         conn.inflight += 1;
-                        conn.inflight_bytes += body.len();
+                        conn.inflight_bytes += req.body.len();
                         let job = Job {
                             slot,
                             gen: conn.gen,
-                            req_id,
-                            method,
-                            body: body.to_vec(),
-                            ctx,
+                            req_id: req.req_id,
+                            method: req.method,
+                            body: req.body.to_vec(),
+                            ctx: req.ctx,
                             lz,
                         };
                         if job_tx.send(job).is_err() {
@@ -852,15 +791,8 @@ impl MuxClient {
         deadline: Option<Duration>,
         on_done: impl FnOnce(RlResult<Vec<u8>>) + Send + 'static,
     ) {
-        // Capture the trace edge on the caller's thread (the loop
-        // thread has no caller context).
-        let (ctx, span) = if self.recorder.is_enabled() {
-            let child = TraceContext::current_or_root().child();
-            let name = (self.method_names)(method);
-            (Some(child), Some(self.recorder.span(format!("rpc.{}", name)).flow_out(child.span_id)))
-        } else {
-            (None, None)
-        };
+        // On the caller's thread: the loop thread has no caller context.
+        let (ctx, span) = trace_edge(&self.recorder, (self.method_names)(method));
         let submit = Submit {
             method,
             body: body.to_vec(),
@@ -970,9 +902,8 @@ fn client_loop(
         return;
     }
     let meter = FrameMeter::new(&recorder);
-    let rpc_us = recorder.histogram("net.rpc_us");
+    let mut latency = CallLatency::client(&recorder);
     let reconnects = recorder.counter("net.reconnects");
-    let mut method_us: HashMap<u16, rlgraph_obs::Histogram> = HashMap::new();
 
     let mut pending: HashMap<u64, PendingCall> = HashMap::new();
     let mut next_req_id: u64 = 0;
@@ -989,29 +920,6 @@ fn client_loop(
     if let Some(hb) = config.heartbeat {
         wheel.schedule(Instant::now(), hb, ClientTimer::Heartbeat);
     }
-
-    let complete = |pending: &mut HashMap<u64, PendingCall>,
-                    wheel: &mut TimerWheel<ClientTimer>,
-                    method_us: &mut HashMap<u16, rlgraph_obs::Histogram>,
-                    req_id: u64,
-                    result: RlResult<Vec<u8>>| {
-        if let Some(p) = pending.remove(&req_id) {
-            if let Some(t) = p.timer {
-                wheel.cancel(t);
-            }
-            let elapsed = p.t0.elapsed();
-            rpc_us.record_duration(elapsed);
-            method_us
-                .entry(p.method)
-                .or_insert_with(|| {
-                    recorder.histogram(&format!("net.rpc.{}.us", (config.method_names)(p.method)))
-                })
-                .record_duration(elapsed);
-            (p.callback)(result);
-            // p.span drops here: the client span closes at completion.
-        }
-        // Unknown id: a late reply whose deadline already fired — drop.
-    };
 
     loop {
         let timeout = wheel.next_deadline().map(|d| d.saturating_duration_since(Instant::now()));
@@ -1063,19 +971,26 @@ fn client_loop(
                                         c.wq.push(f);
                                     }
                                 }
-                                FrameKind::Response => {
-                                    let mut r = ByteReader::new(&payload);
-                                    match parse_response(&mut r) {
-                                        Ok((req_id, result)) => complete(
-                                            &mut pending,
-                                            &mut wheel,
-                                            &mut method_us,
-                                            req_id,
-                                            result,
-                                        ),
-                                        Err(_) => sever = true,
+                                FrameKind::Response => match decode_response(&payload) {
+                                    Ok((req_id, result)) => {
+                                        // Unknown id: a late reply whose
+                                        // deadline already fired — drop.
+                                        if let Some(p) = pending.remove(&req_id) {
+                                            if let Some(t) = p.timer {
+                                                wheel.cancel(t);
+                                            }
+                                            latency.record(
+                                                p.method,
+                                                (config.method_names)(p.method),
+                                                p.t0.elapsed(),
+                                            );
+                                            (p.callback)(result);
+                                            // p.span drops here: the client
+                                            // span closes at completion.
+                                        }
                                     }
-                                }
+                                    Err(_) => sever = true,
+                                },
                                 // A server sending requests is not
                                 // speaking our protocol.
                                 _ => sever = true,
@@ -1090,7 +1005,7 @@ fn client_loop(
         }
 
         if sever {
-            do_sever(&mut conn, &mut pending, &mut wheel, &poller, &peer, &rpc_us);
+            do_sever(&mut conn, &mut pending, &mut wheel, &poller, &peer, &latency);
             awaiting_pong = false;
             sever = false;
         }
@@ -1121,19 +1036,7 @@ fn client_loop(
             };
             next_req_id += 1;
             let req_id = next_req_id;
-            let mut payload = ByteWriter::with_capacity(30 + s.body.len());
-            let kind = match &s.ctx {
-                Some(ctx) => {
-                    put_trace_context(&mut payload, ctx);
-                    FrameKind::RequestTraced
-                }
-                None => FrameKind::Request,
-            };
-            payload.put_u64(req_id);
-            payload.put_u16(s.method);
-            payload.put_bytes(&s.body);
-            let payload = payload.into_bytes();
-            match encode_frame_lz(kind, &payload, true) {
+            match encode_request(s.ctx.as_ref(), req_id, s.method, &s.body, true) {
                 Ok(frame) => {
                     // Meter the bytes that actually cross the wire (the
                     // compressed length when compression won).
@@ -1159,7 +1062,7 @@ fn client_loop(
         }
         if let Some(c) = conn.as_mut() {
             if !c.wq.is_empty() && !pump_client_writes(c, &poller) {
-                do_sever(&mut conn, &mut pending, &mut wheel, &poller, &peer, &rpc_us);
+                do_sever(&mut conn, &mut pending, &mut wheel, &poller, &peer, &latency);
                 awaiting_pong = false;
             }
         }
@@ -1171,7 +1074,7 @@ fn client_loop(
             match t {
                 ClientTimer::Deadline(req_id) => {
                     if let Some(p) = pending.remove(&req_id) {
-                        rpc_us.record_duration(p.t0.elapsed());
+                        latency.record_unanswered(p.t0.elapsed());
                         (p.callback)(Err(RlError::DeadlineExpired {
                             what: format!("rpc {}:{}", peer, (config.method_names)(p.method)),
                         }));
@@ -1201,7 +1104,7 @@ fn client_loop(
             }
         }
         if sever {
-            do_sever(&mut conn, &mut pending, &mut wheel, &poller, &peer, &rpc_us);
+            do_sever(&mut conn, &mut pending, &mut wheel, &poller, &peer, &latency);
             awaiting_pong = false;
         }
     }
@@ -1213,17 +1116,6 @@ fn client_loop(
     for s in std::mem::take(&mut *shared.submits.lock().expect("mux submit lock")) {
         (s.callback)(Err(RlError::Shutdown));
     }
-}
-
-/// Parses `[req_id u64][status u8][body|error]`.
-fn parse_response(r: &mut ByteReader<'_>) -> RlResult<(u64, RlResult<Vec<u8>>)> {
-    let req_id = r.get_u64()?;
-    let result = match r.get_u8()? {
-        0 => Ok(r.get_bytes(r.remaining()).expect("remaining").to_vec()),
-        1 => Err(get_rl_error(r)?),
-        other => return Err(RlError::Protocol(format!("unknown response status {}", other))),
-    };
-    Ok((req_id, result))
 }
 
 fn pump_client_writes(c: &mut ClientConn, poller: &Poller) -> bool {
@@ -1250,7 +1142,7 @@ fn do_sever(
     wheel: &mut TimerWheel<ClientTimer>,
     poller: &Poller,
     peer: &str,
-    rpc_us: &rlgraph_obs::Histogram,
+    latency: &CallLatency,
 ) {
     if let Some(c) = conn.take() {
         poller.delete(c.stream.as_raw_fd());
@@ -1259,7 +1151,7 @@ fn do_sever(
         if let Some(t) = p.timer {
             wheel.cancel(t);
         }
-        rpc_us.record_duration(p.t0.elapsed());
+        latency.record_unanswered(p.t0.elapsed());
         (p.callback)(Err(RlError::Io {
             kind: std::io::ErrorKind::ConnectionReset,
             message: format!("{} went away mid-request", peer),

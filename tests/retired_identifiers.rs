@@ -4,7 +4,10 @@
 //! downgrade latches for peers older than this build, of which there are
 //! none) with the simulator's private chaos model, and the five
 //! private-stopwatch bench binaries the repo benchmark superseded, with
-//! their result files, baseline script and env knob. This fails if an
+//! their result files, baseline script and env knob; and the second
+//! Ape-X graph declaration, the driver configs' reader-less read-side
+//! view and the mux server's private error-response encoder, which the
+//! shared call layer and Ape-X parts replaced. This fails if an
 //! identifier of any of them comes back in a source file under
 //! `crates/*/src`, `examples/` or `tests/`, in a script, or in a document
 //! that describes the repo as it is (`CHANGES.md`, `CHANGELOG.md` and
@@ -50,6 +53,9 @@ fn retired_identifiers_stay_retired() {
         ["BENCH_", "codec.json"],
         ["BENCH_", "net.json"],
         ["BENCH_", "kernels.json"],
+        ["net_apex", "_graph"],
+        ["Driver", "Common"],
+        ["encode_error", "_response"],
     ]
     .map(|h| h.concat());
 
@@ -106,5 +112,75 @@ fn kernels_do_not_decompose_indices_per_element() {
         for gone in GONE {
             assert!(!text.contains(gone), "{} brings back `{gone}`", path.display());
         }
+    }
+}
+
+/// A source file's text up to its `#[cfg(test)]` module.
+fn non_test_source(path: &Path) -> String {
+    let text = std::fs::read_to_string(path).expect("source file");
+    text.split("#[cfg(test)]\nmod ").next().unwrap_or_default().to_string()
+}
+
+/// What differs between the two RPC stacks is how I/O is scheduled, and
+/// between the three Ape-X drivers clock, transport and fault model; the
+/// call protocol and the Ape-X recipe each have one definition below
+/// those forks (DESIGN.md §11, §15). This counts the tokens a second
+/// copy cannot be written without, in `crates/*/src` outside test
+/// modules (the benchmark is its own program): the trace-context and
+/// error codecs are called from `call.rs` alone, the frame magic is
+/// compared in one function, and the replica-seed stride and the
+/// shard-seed offset are each written once.
+#[test]
+fn protocol_and_recipe_are_written_once() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for krate in std::fs::read_dir(root.join("crates")).expect("crates directory") {
+        let krate = krate.expect("directory entry").path();
+        if krate.file_name().is_some_and(|n| n != "benchmark") {
+            rust_files(&krate.join("src"), &mut files);
+        }
+    }
+    assert!(files.len() > 100, "the walk found only {} files", files.len());
+    let sources: Vec<(PathBuf, String)> = files
+        .into_iter()
+        .map(|path| {
+            let text = non_test_source(&path);
+            (path, text)
+        })
+        .collect();
+
+    let codec_calls = [
+        ["put_trace", "_context("],
+        ["get_trace", "_context("],
+        ["put_rl", "_error("],
+        ["get_rl", "_error("],
+    ]
+    .map(|h| h.concat());
+    let callers: Vec<&Path> = sources
+        .iter()
+        .filter(|(path, text)| {
+            !path.ends_with("rlgraph-reactor/src/codec.rs")
+                && codec_calls.iter().any(|call| text.contains(call.as_str()))
+        })
+        .map(|(path, _)| path.as_path())
+        .collect();
+    assert!(
+        matches!(callers[..], [one] if one.ends_with("rlgraph-reactor/src/call.rs")),
+        "the payload codecs are called from {callers:?}; only the call layer may"
+    );
+
+    let once = [
+        (["!= MA", "GIC"].concat(), "the frame magic is compared"),
+        (["79", "19"].concat(), "the replica-seed stride is written"),
+        (["wrapping_add(10", "00"].concat(), "the shard-seed offset is written"),
+    ];
+    for (token, what) in &once {
+        let sites: Vec<String> = sources
+            .iter()
+            .flat_map(|(path, text)| {
+                text.match_indices(token.as_str()).map(move |_| path.display().to_string())
+            })
+            .collect();
+        assert_eq!(sites.len(), 1, "{what} at {sites:?}; one definition, below the fork");
     }
 }
