@@ -12,11 +12,13 @@
 //! — run in one mapping: rollout replicas on supervised threads, the
 //! learner and broadcast inline. Replay is a passive fragment: each
 //! shard is one [`SharedShard`] that rollout replicas insert into and
-//! the learner samples from on their own threads, the same type the TCP
-//! runtime serves over RPC. A fixed-task-budget run
-//! (`max_tasks_per_worker`) is a pure function of the seed: the parity
-//! suite in `tests/fragment_parity.rs` holds it to a frozen reference
-//! and to bit-identity across runs.
+//! the learner samples from on their own threads. The TCP runtime hosts
+//! the same type: its worker processes insert over RPC, and its
+//! [`ApexLearner`] samples it in-process, as this driver's does.
+//!
+//! A fixed-task-budget run (`max_tasks_per_worker`) is a pure function
+//! of the seed: the parity suite in `tests/fragment_parity.rs` holds it
+//! to a frozen reference and to bit-identity across runs.
 
 use super::exec::FragmentExecutor;
 use super::graph::{FragmentGraph, StageKind};
@@ -29,6 +31,8 @@ use rlgraph_agents::apex::ApexWorker;
 use rlgraph_agents::{DqnAgent, DqnConfig, EpsilonSchedule};
 use rlgraph_core::{CoreError, RlError, RlResult};
 use rlgraph_envs::{Env, VectorEnv};
+use rlgraph_obs::{Counter, Gauge, Histogram, Recorder};
+use rlgraph_spaces::Space;
 use rlgraph_tensor::sync::lock;
 use rlgraph_tensor::Tensor;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -137,6 +141,93 @@ pub fn apex_learn_step(
     let [s, a, r, s2, t] = batch.tensors;
     let (loss, td) = learner.update_from_batch([s, a, r, s2, t, batch.weights])?;
     Ok((loss, batch.indices, td.as_f32().map_err(CoreError::from)?.to_vec()))
+}
+
+/// The Ape-X learner fragment: the online agent, stepping round-robin
+/// over the run's [`SharedShard`]s. Every runtime whose shards live in
+/// the learner's process drives it — the threaded driver and the TCP
+/// runtime alike — so both record the same `frag.learn.*` rows.
+pub struct ApexLearner {
+    agent: DqnAgent,
+    batch_size: usize,
+    beta: f32,
+    next_shard: usize,
+    recorder: Recorder,
+    sample_wait_us: Histogram,
+    step_us: Histogram,
+    updates_ctr: Counter,
+    loss_gauge: Gauge,
+    /// the loss of every update so far, in order
+    pub losses: Vec<f32>,
+}
+
+impl ApexLearner {
+    /// A learner for `agent` over the given spaces, recording through
+    /// `recorder`.
+    ///
+    /// # Errors
+    ///
+    /// Agent build errors.
+    pub fn new(
+        agent: &DqnConfig,
+        state_space: &Space,
+        action_space: &Space,
+        recorder: &Recorder,
+    ) -> RlResult<Self> {
+        Ok(ApexLearner {
+            agent: DqnAgent::new(agent.clone(), state_space, action_space)?,
+            batch_size: agent.batch_size,
+            beta: agent.beta,
+            next_shard: 0,
+            recorder: recorder.clone(),
+            sample_wait_us: recorder.histogram("frag.learn.sample_wait_us"),
+            step_us: recorder.histogram("frag.learn.step_us"),
+            updates_ctr: recorder.counter("frag.learn.updates"),
+            loss_gauge: recorder.gauge("train.loss"),
+            losses: Vec::new(),
+        })
+    }
+
+    /// One iteration on the next shard in turn: sample, run
+    /// [`apex_learn_step`], push the new priorities back. Returns
+    /// `false`, having updated nothing, while that shard is
+    /// under-filled; the caller picks the backoff.
+    ///
+    /// # Errors
+    ///
+    /// The shard's typed error for a draw that does not stack; agent
+    /// update errors.
+    pub fn step(&mut self, shards: &[Arc<SharedShard>]) -> RlResult<bool> {
+        let shard = &shards[self.next_shard % shards.len()];
+        self.next_shard += 1;
+        let t_wait = Instant::now();
+        let sampled = shard.sample(self.batch_size, self.beta);
+        self.sample_wait_us.record_duration(t_wait.elapsed());
+        let Some(batch) = sampled? else {
+            return Ok(false);
+        };
+        let t_step = Instant::now();
+        let (loss, indices, priorities) = {
+            let _span = self.recorder.span("learner.step");
+            apex_learn_step(&mut self.agent, batch)?
+        };
+        self.step_us.record_duration(t_step.elapsed());
+        self.loss_gauge.set(loss as f64);
+        self.updates_ctr.inc();
+        self.losses.push(loss);
+        shard.update_priorities(indices, priorities);
+        Ok(true)
+    }
+
+    /// Updates performed so far.
+    pub fn updates(&self) -> u64 {
+        self.losses.len() as u64
+    }
+
+    /// The online agent, for weight export.
+    pub fn agent(&self) -> &DqnAgent {
+        &self.agent
+    }
 }
 
 /// Runs Ape-X as a fragment graph.
@@ -268,40 +359,20 @@ where
     let driver_res = exec.run_driver("learn", || {
         let state_space = env_factory(0, 0).state_space();
         let action_space = env_factory(0, 0).action_space();
-        let mut learner = DqnAgent::new(config.agent.clone(), &state_space, &action_space)?;
-        let sample_wait_us = recorder.histogram("frag.learn.sample_wait_us");
-        let step_us = recorder.histogram("frag.learn.step_us");
-        let updates_ctr = recorder.counter("frag.learn.updates");
-        let loss_gauge = recorder.gauge("train.loss");
+        let mut learner = ApexLearner::new(&config.agent, &state_space, &action_space, &recorder)?;
         let dropped_sync_ctr = recorder.counter("frag.broadcast.dropped_syncs");
-        let mut losses = Vec::new();
-        let mut updates: u64 = 0;
-        let mut rr = 0usize;
-        while Instant::now() < deadline && config.max_updates.map(|m| updates < m).unwrap_or(true) {
-            let shard = &shards[rr % shards.len()];
-            rr += 1;
-            let t_wait = Instant::now();
-            let sampled = shard.sample(config.agent.batch_size, config.agent.beta);
-            sample_wait_us.record_duration(t_wait.elapsed());
-            let Some(batch) = sampled? else {
+        while Instant::now() < deadline
+            && config.max_updates.map(|m| learner.updates() < m).unwrap_or(true)
+        {
+            if !learner.step(&shards)? {
                 // shard not filled yet
                 std::thread::yield_now();
                 continue;
-            };
-            let t_step = Instant::now();
-            let (loss, indices, priorities) = {
-                let _span = recorder.span("learner.step");
-                apex_learn_step(&mut learner, batch)?
-            };
-            step_us.record_duration(t_step.elapsed());
-            loss_gauge.set(loss as f64);
-            updates_ctr.inc();
-            losses.push(loss);
-            updates += 1;
-            shard.update_priorities(indices, priorities);
+            }
+            let updates = learner.updates();
             if updates.is_multiple_of(config.weight_sync_interval) {
                 let _span = recorder.span("learner.weight_broadcast");
-                let weights = learner.get_weights();
+                let weights = learner.agent().get_weights();
                 let sent_us = recorder.now_micros();
                 for (w, lane) in weight_lanes.iter().enumerate() {
                     // Injected sync fault: this worker misses the
@@ -314,7 +385,7 @@ where
                 }
             }
         }
-        Ok((updates, losses))
+        Ok((learner.updates(), learner.losses))
     });
 
     // Drain any remaining run budget on pure sampling, then stop

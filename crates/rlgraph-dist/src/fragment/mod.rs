@@ -34,7 +34,7 @@ pub mod exec;
 
 pub use apex::{
     apex_graph, apex_learn_step, apex_replica, apex_shard, default_apex_placement,
-    run_apex_fragments,
+    run_apex_fragments, ApexLearner,
 };
 pub use edge::EdgeLane;
 pub use elastic::{ElasticStage, ScaleEvent};

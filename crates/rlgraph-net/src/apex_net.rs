@@ -4,30 +4,37 @@
 //! Topology (all sockets on 127.0.0.1):
 //!
 //! ```text
-//!   child process per worker ──TCP──▶ shard RPC servers (parent)
-//!        │  collect / insert              ▲ sample / update_priorities
-//!        │                               │
+//!   child process per worker ──TCP──▶ shard RPC servers ─┐ (parent)
+//!        │  collect / insert                             │ SharedShard
+//!        │                          sample / update_priorities (memory)
+//!        │                                               ▼
 //!        └──TCP──▶ coordinator ◀── WeightHub ◀── learner loop (parent)
 //!            get_weights / heartbeat
 //! ```
 //!
 //! The parent hosts the replay shards and the coordinator; workers are
 //! launched by re-invoking the current executable ([`crate::proc`]).
-//! The learner samples from its own shards **over TCP too** — every
-//! replay byte crosses the wire codec in both directions, so the
-//! measured gap to the in-process executor prices the full transport,
-//! not half of it. Weight sync is parameter-server style: the learner
-//! publishes into the same [`WeightHub`] the serving stack uses, and
-//! workers poll versioned snapshots out through the coordinator.
+//! Only the edges that cross a process pay for the wire: workers insert
+//! and poll weights over TCP, while the learner, in the shards' own
+//! process, samples and re-prioritizes each [`ShardService::shard`]
+//! directly through the [`ApexLearner`] the threaded driver runs. A
+//! loopback round-trip to its own shards crosses no process, and on
+//! `apex_tcp` it cost a third of each update's CPU (~0.36 of ~1.06 ms;
+//! the connection thread serving it was the run's third-largest
+//! consumer) and ~40 of the ~48 KB it put on the wire. Weight sync is
+//! parameter-server style: the learner publishes into the same
+//! [`WeightHub`] the serving stack uses, and workers poll versioned
+//! snapshots out through the coordinator.
 
 use crate::proc::{run_worker, spawn_worker, EnvSpec, WorkerSpec};
 use crate::rpc::RpcServer;
-use crate::services::{CoordClient, CoordService, ShardClient, ShardService, DEFAULT_BEAT_TIMEOUT};
-use rlgraph_agents::{DqnAgent, DqnConfig};
+use crate::services::{CoordClient, CoordService, ShardService, DEFAULT_BEAT_TIMEOUT};
+use rlgraph_agents::DqnConfig;
 use rlgraph_core::{CoreError, RlResult};
 use rlgraph_dist::checkpoint::LearnerCheckpoint;
-use rlgraph_dist::fragment::{apex_graph, apex_learn_step, apex_shard, ElasticStage};
+use rlgraph_dist::fragment::{apex_graph, apex_shard, ApexLearner, ElasticStage};
 use rlgraph_dist::sync::WeightHub;
+use rlgraph_dist::SharedShard;
 use rlgraph_obs::{merged_chrome_trace, DeltaTracker, ProcessTrace, Recorder};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -111,7 +118,7 @@ pub struct NetApexConfig {
     pub run_duration: Duration,
     /// optional hard cap on learner updates
     pub max_updates: Option<u64>,
-    /// per-RPC deadline on worker and learner calls
+    /// per-RPC deadline on worker calls
     pub rpc_deadline: Duration,
     /// worker hosting mode
     pub launch: LaunchMode,
@@ -198,7 +205,7 @@ impl NetApexConfigBuilder {
         self
     }
 
-    /// Per-RPC deadline on worker and learner calls.
+    /// Per-RPC deadline on worker calls.
     pub fn rpc_deadline(mut self, d: Duration) -> Self {
         self.draft.rpc_deadline = d;
         self
@@ -573,10 +580,13 @@ pub fn run_apex_net(config: NetApexConfig) -> RlResult<NetApexStats> {
         recorder.gauge(&format!("frag.{}.replicas", stage.name)).set(stage.replicas as f64);
     }
 
-    // Replay shards, each behind its own RPC server.
+    // Replay shards, each behind its own RPC server for the workers'
+    // inserts; the learner holds the shards themselves.
     let mut shard_servers = Vec::with_capacity(config.num_shards);
+    let mut shards: Vec<Arc<SharedShard>> = Vec::with_capacity(config.num_shards);
     for i in 0..config.num_shards {
         let service = Arc::new(ShardService::new(apex_shard(&config.agent, i), &recorder));
+        shards.push(service.shard().clone());
         shard_servers.push(RpcServer::spawn(&format!("shard-{}", i), service, recorder.clone())?);
     }
 
@@ -648,86 +658,33 @@ pub fn run_apex_net(config: NetApexConfig) -> RlResult<NetApexStats> {
         }
     };
 
-    // Learner loop, sampling from its shards over TCP.
-    let mut shard_clients = Vec::with_capacity(config.num_shards);
-    for (i, s) in shard_servers.iter().enumerate() {
-        let mut c = ShardClient::connect(&format!("shard-{}", i), s.addr(), &recorder)?;
-        c.set_deadline(Some(config.rpc_deadline));
-        if config.compression {
-            c.set_codec(crate::codec::CodecProfile::COMPRESSED);
-        }
-        shard_clients.push(c);
-    }
+    // Learner loop, on the shards in this process.
     let state_space = config.env.build(0).state_space();
     let action_space = config.env.build(0).action_space();
-    let mut learner = DqnAgent::new(config.agent.clone(), &state_space, &action_space)?;
-    let step_us = recorder.histogram("frag.learn.step_us");
-    let updates_ctr = recorder.counter("frag.learn.updates");
+    let mut learner = ApexLearner::new(&config.agent, &state_space, &action_space, &recorder)?;
     let update_rate = recorder.gauge("frag.learn.update_rate");
     // The parent folds its own metric deltas into the same cluster
     // registry heartbeats feed, under the "learner" process name.
     let mut learner_tracker = DeltaTracker::new();
-    let mut losses = Vec::new();
-    let mut updates = 0u64;
-    let mut rr = 0usize;
     let deadline = start + config.run_duration;
-    // Sampling is pipelined: one prefetched request is always in
-    // flight, issued a full learn step ahead of its use, so each shard
-    // selects and encodes the next batch while the learner trains on
-    // the current one — the sample round-trip leaves the critical path.
-    let mut pending: Option<usize> = None;
-    while Instant::now() < deadline && config.max_updates.map(|m| updates < m).unwrap_or(true) {
+    while Instant::now() < deadline
+        && config.max_updates.map(|m| learner.updates() < m).unwrap_or(true)
+    {
         if let Some(el) = elastic_state.as_mut() {
-            el.tick(start, &coord_service, updates, &mut launch)?;
+            el.tick(start, &coord_service, learner.updates(), &mut launch)?;
             // Replay-ratio cap: hold for inflow rather than spin on
             // stale data.
-            if el.update_capped(updates, coord_service.progress().samples) {
+            if el.update_capped(learner.updates(), coord_service.progress().samples) {
                 std::thread::sleep(Duration::from_millis(1));
                 continue;
             }
         }
-        let idx = match pending.take() {
-            Some(i) => i,
-            None => {
-                let i = rr % shard_clients.len();
-                rr += 1;
-                match shard_clients[i].sample_prefetch(config.agent.batch_size, config.agent.beta) {
-                    Ok(()) => i,
-                    Err(e) if e.is_retryable() => continue,
-                    Err(e) => return Err(e),
-                }
-            }
-        };
-        let collected = shard_clients[idx].sample_collect();
-        // Queue the next sample before touching this one: it covers the
-        // learn step below (or the under-filled backoff).
-        let nxt = rr % shard_clients.len();
-        rr += 1;
-        match shard_clients[nxt].sample_prefetch(config.agent.batch_size, config.agent.beta) {
-            Ok(()) => pending = Some(nxt),
-            Err(e) if e.is_retryable() => {}
-            Err(e) => return Err(e),
+        if !learner.step(&shards)? {
+            // under-filled: leave the CPU to the workers' inserts
+            std::thread::sleep(Duration::from_millis(2));
+            continue;
         }
-        let batch = match collected {
-            Ok(Some(b)) => b,
-            Ok(None) => {
-                std::thread::sleep(Duration::from_millis(2));
-                continue;
-            }
-            Err(e) if e.is_retryable() => continue,
-            Err(e) => return Err(e),
-        };
-        let t0 = Instant::now();
-        let (loss, indices, priorities) = apex_learn_step(&mut learner, batch)?;
-        step_us.record_duration(t0.elapsed());
-        updates_ctr.inc();
-        losses.push(loss);
-        updates += 1;
-        if let Err(e) = shard_clients[idx].update_priorities(&indices, &priorities) {
-            if !e.is_retryable() {
-                return Err(e);
-            }
-        }
+        let updates = learner.updates();
         if updates.is_multiple_of(config.weight_sync_interval) {
             if recorder.is_enabled() {
                 update_rate.set(updates as f64 / start.elapsed().as_secs_f64().max(1e-9));
@@ -735,19 +692,16 @@ pub fn run_apex_net(config: NetApexConfig) -> RlResult<NetApexStats> {
                     .cluster()
                     .fold("learner", &learner_tracker.delta(&recorder.metrics_snapshot()));
             }
-            let version = hub.publish(learner.get_weights());
-            let mut watermarks = Vec::with_capacity(shard_clients.len());
-            for c in &mut shard_clients {
-                watermarks.push(c.watermark().unwrap_or(0));
-            }
+            let version = hub.publish(learner.agent().get_weights());
             coord_service.set_checkpoint(LearnerCheckpoint {
                 updates,
                 weight_version: version,
-                variables: learner.export_variables(),
-                shard_watermarks: watermarks,
+                variables: learner.agent().export_variables(),
+                shard_watermarks: shards.iter().map(|s| s.watermark()).collect(),
             });
         }
     }
+    let updates = learner.updates();
 
     // Tell workers (via heartbeat replies) the run is over, then reap.
     // Elastic pools drain into the same reap path: live replicas exit
@@ -788,8 +742,7 @@ pub fn run_apex_net(config: NetApexConfig) -> RlResult<NetApexStats> {
         }
     }
 
-    let shard_watermarks: Vec<u64> =
-        shard_clients.iter_mut().map(|c| c.watermark().unwrap_or(0)).collect();
+    let shard_watermarks: Vec<u64> = shards.iter().map(|s| s.watermark()).collect();
     let progress = coord_service.progress();
 
     // Telemetry plane shutdown work, while the coordinator still
@@ -837,7 +790,7 @@ pub fn run_apex_net(config: NetApexConfig) -> RlResult<NetApexStats> {
         env_frames: progress.env_frames,
         samples_collected: progress.samples,
         updates,
-        losses,
+        losses: learner.losses,
         wall_time,
         frames_per_second: progress.env_frames as f64 / wall_time.as_secs_f64().max(1e-9),
         heartbeats: progress.heartbeats,

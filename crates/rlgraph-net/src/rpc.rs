@@ -50,19 +50,19 @@
 //! `net.reconnects` on the client, `net.server.conns` on the server.
 //!
 //! **Distributed tracing.** When the client's recorder is enabled, every
-//! call derives a child [`TraceContext`] from the calling thread's
-//! current context, records a client span flow-linked to the child's
-//! span id, and ships the context as a [`FrameKind::RequestTraced`]
-//! prefix. The server decodes it, opens a handler span flow-linked to
-//! the same id, and installs the context for the handler thread
-//! ([`ContextScope`](rlgraph_obs::ContextScope)) so nested outbound
-//! calls chain onto the same trace. With a disabled recorder the client
-//! emits plain [`FrameKind::Request`] frames — byte-identical to
-//! untraced builds.
+//! call derives a child [`TraceContext`](rlgraph_obs::TraceContext) from
+//! the calling thread's current context, records a client span
+//! flow-linked to the child's span id, and ships the context as a
+//! [`FrameKind::RequestTraced`] prefix. The server decodes it, opens a
+//! handler span flow-linked to the same id, and installs the context
+//! for the handler thread ([`ContextScope`](rlgraph_obs::ContextScope))
+//! so nested outbound calls chain onto the same trace. With a disabled
+//! recorder the client emits plain [`FrameKind::Request`] frames —
+//! byte-identical to untraced builds.
 
 use crate::frame::{read_frame_info_metered, write_encoded_metered, FrameKind, FrameMeter};
 use rlgraph_core::{RlError, RlResult};
-use rlgraph_obs::{Recorder, TraceContext};
+use rlgraph_obs::Recorder;
 use rlgraph_reactor::call::{
     decode_request, decode_response, encode_request, trace_edge, CallLatency, Handler,
 };
@@ -393,19 +393,6 @@ pub struct RpcClient {
     latency: CallLatency,
     reconnects: rlgraph_obs::Counter,
     method_names: fn(u16) -> &'static str,
-    /// The one request sent by [`RpcClient::call_deferred`] whose
-    /// response has not been read yet (req id + armed expiry).
-    deferred: Option<(u64, Option<Instant>)>,
-    /// The one request sent by [`RpcClient::call_prefetch`] whose
-    /// response [`RpcClient::take_prefetched`] has not collected yet.
-    prefetch: Option<PrefetchState>,
-}
-
-/// A prefetched request: still on the wire, or already resolved into a
-/// stashed result by an intervening call that needed the stream.
-enum PrefetchState {
-    Sent { req_id: u64, expiry: Option<Instant>, method: u16 },
-    Ready(RlResult<Vec<u8>>),
 }
 
 fn unnamed_method(_: u16) -> &'static str {
@@ -433,8 +420,6 @@ impl RpcClient {
             latency: CallLatency::client(recorder),
             reconnects: recorder.counter("net.reconnects"),
             method_names: unnamed_method,
-            deferred: None,
-            prefetch: None,
         };
         client.ensure_connected()?;
         Ok(client)
@@ -458,10 +443,6 @@ impl RpcClient {
     pub fn set_method_names(&mut self, f: fn(u16) -> &'static str) {
         self.method_names = f;
         self.latency = CallLatency::client(&self.recorder);
-    }
-
-    fn record_latency(&mut self, method: u16, t0: Instant) {
-        self.latency.record(method, (self.method_names)(method), t0.elapsed());
     }
 
     fn ensure_connected(&mut self) -> RlResult<()> {
@@ -503,62 +484,6 @@ impl RpcClient {
         }
     }
 
-    /// Writes one request frame (connecting first if needed) and
-    /// returns its id. Any failure poisons the stream.
-    fn send(
-        &mut self,
-        method: u16,
-        body: &[u8],
-        expiry: Option<Instant>,
-        ctx: Option<TraceContext>,
-    ) -> RlResult<u64> {
-        self.next_req_id += 1;
-        let req_id = self.next_req_id;
-        let result = (|| {
-            self.ensure_connected()?;
-            let frame = encode_request(ctx.as_ref(), req_id, method, body, self.lz)?;
-            let stream = self.stream.as_ref().expect("connected above");
-            arm_timeouts(stream, expiry)?;
-            write_encoded_metered(&mut &*stream, &frame, &self.meter)
-        })();
-        result.map(|()| req_id).map_err(|e| self.poison(e, method, expiry.is_some()))
-    }
-
-    /// Reads the response frame for `req_id`. Outer error:
-    /// transport/protocol/deadline failure (stream poisoned). Inner
-    /// error: the remote service's typed reply, which arrives on a
-    /// clean, well-framed stream — the connection is kept.
-    fn read_reply(
-        &mut self,
-        req_id: u64,
-        method: u16,
-        expiry: Option<Instant>,
-    ) -> RlResult<RlResult<Vec<u8>>> {
-        let result = (|| {
-            let stream = self
-                .stream
-                .as_ref()
-                .ok_or_else(|| RlError::Protocol("pending response on a dead stream".into()))?;
-            arm_timeouts(stream, expiry)?;
-            let frame = read_frame_info_metered(&mut &*stream, &self.meter)?;
-            if frame.kind != FrameKind::Response {
-                return Err(RlError::Protocol(format!(
-                    "{} sent a {:?} frame to a client",
-                    self.peer, frame.kind
-                )));
-            }
-            let (got_id, reply) = decode_response(&frame.payload)?;
-            if got_id != req_id {
-                return Err(RlError::Protocol(format!(
-                    "{} answered request {} while {} was pending",
-                    self.peer, got_id, req_id
-                )));
-            }
-            Ok(reply)
-        })();
-        result.map_err(|e| self.poison(e, method, expiry.is_some()))
-    }
-
     /// Issues one call and blocks for the response.
     ///
     /// `deadline` bounds the whole call (send + server time + receive);
@@ -578,143 +503,41 @@ impl RpcClient {
         body: &[u8],
         deadline: Option<Duration>,
     ) -> RlResult<Vec<u8>> {
-        self.drain_deferred()?;
-        self.resolve_prefetch();
         let t0 = Instant::now();
         let expiry = deadline.map(|d| t0 + d);
         let (ctx, _span) = trace_edge(&self.recorder, (self.method_names)(method));
-        let result = self
-            .send(method, body, expiry, ctx)
-            .and_then(|req_id| self.read_reply(req_id, method, expiry));
-        self.record_latency(method, t0);
+        self.next_req_id += 1;
+        let req_id = self.next_req_id;
+        // Outer error: transport/protocol/deadline failure (stream
+        // poisoned). Inner error: the remote service's typed reply,
+        // which arrives on a clean, well-framed stream — the
+        // connection is kept.
+        let result = (|| {
+            self.ensure_connected()?;
+            let frame = encode_request(ctx.as_ref(), req_id, method, body, self.lz)?;
+            let stream = self.stream.as_ref().expect("connected above");
+            arm_timeouts(stream, expiry)?;
+            write_encoded_metered(&mut &*stream, &frame, &self.meter)?;
+            arm_timeouts(stream, expiry)?;
+            let frame = read_frame_info_metered(&mut &*stream, &self.meter)?;
+            if frame.kind != FrameKind::Response {
+                return Err(RlError::Protocol(format!(
+                    "{} sent a {:?} frame to a client",
+                    self.peer, frame.kind
+                )));
+            }
+            let (got_id, reply) = decode_response(&frame.payload)?;
+            if got_id != req_id {
+                return Err(RlError::Protocol(format!(
+                    "{} answered request {} while {} was pending",
+                    self.peer, got_id, req_id
+                )));
+            }
+            Ok(reply)
+        })();
+        let result = result.map_err(|e| self.poison(e, method, expiry.is_some()));
+        self.latency.record(method, (self.method_names)(method), t0.elapsed());
         result?
-    }
-
-    /// Sends a request and returns without reading the response: the
-    /// ack is drained just before the next request on this client. The
-    /// blocking server answers strictly in order per connection, so by
-    /// the time the caller comes back the response is normally already
-    /// sitting in the socket buffer — the round-trip leaves the
-    /// caller's critical path.
-    ///
-    /// At most one call is in flight; a second deferred call first
-    /// drains the previous ack. Only fire-and-forget methods whose
-    /// reply carries no data belong here: a **typed service error** in
-    /// the drained ack is *dropped* (counted under
-    /// `net.deferred_dropped_errors`), because surfacing it from an
-    /// unrelated later call would corrupt that call's error contract.
-    /// A transport failure at drain time poisons the stream and surfaces
-    /// retryable from the next call, exactly like a synchronous
-    /// failure.
-    ///
-    /// # Errors
-    ///
-    /// Deadline, transport and protocol errors from the send (or from
-    /// draining a previous deferred ack).
-    pub fn call_deferred(
-        &mut self,
-        method: u16,
-        body: &[u8],
-        deadline: Option<Duration>,
-    ) -> RlResult<()> {
-        self.drain_deferred()?;
-        self.resolve_prefetch();
-        let t0 = Instant::now();
-        let expiry = deadline.map(|d| t0 + d);
-        let result = self.send(method, body, expiry, None);
-        self.record_latency(method, t0);
-        self.deferred = Some((result?, expiry));
-        Ok(())
-    }
-
-    /// Reads the ack of an outstanding [`RpcClient::call_deferred`], if
-    /// any. Typed service errors are dropped (see `call_deferred`), but
-    /// never silently; transport failures poison the stream and return
-    /// retryable.
-    fn drain_deferred(&mut self) -> RlResult<()> {
-        let Some((req_id, expiry)) = self.deferred.take() else {
-            return Ok(());
-        };
-        if self.read_reply(req_id, 0, expiry)?.is_err() {
-            self.recorder.counter("net.deferred_dropped_errors").inc();
-        }
-        Ok(())
-    }
-
-    /// Sends a request whose **response body the caller wants later**:
-    /// the pipelined sibling of [`RpcClient::call_deferred`] for
-    /// methods that return data. The caller collects the result with
-    /// [`RpcClient::take_prefetched`]; in between it is free to do
-    /// local work (or talk to *other* clients) while the server
-    /// processes the request — the blocking server answers in order
-    /// per connection, so by collection time the response is normally
-    /// already in the socket buffer and the round-trip has left the
-    /// caller's critical path.
-    ///
-    /// At most one prefetch is outstanding per client; a second
-    /// prefetch before collection is a caller bug and fails with
-    /// [`RlError::Protocol`]. An intervening [`RpcClient::call`] or
-    /// [`RpcClient::call_deferred`] on this client resolves the
-    /// pending response first (stashing it, typed errors included) so
-    /// request/response pairing is never reordered.
-    ///
-    /// # Errors
-    ///
-    /// Deadline, transport and protocol errors from the send or from
-    /// draining a previous deferred ack. Errors of the prefetched call
-    /// itself surface from `take_prefetched`.
-    pub fn call_prefetch(
-        &mut self,
-        method: u16,
-        body: &[u8],
-        deadline: Option<Duration>,
-    ) -> RlResult<()> {
-        self.drain_deferred()?;
-        if self.prefetch.is_some() {
-            return Err(RlError::Protocol(format!(
-                "{}: a prefetched call is already outstanding",
-                self.peer
-            )));
-        }
-        let expiry = deadline.map(|d| Instant::now() + d);
-        let req_id = self.send(method, body, expiry, None)?;
-        self.prefetch = Some(PrefetchState::Sent { req_id, expiry, method });
-        Ok(())
-    }
-
-    /// Collects the response of the outstanding
-    /// [`RpcClient::call_prefetch`], blocking only for whatever part of
-    /// the round-trip the caller's local work did not already cover.
-    /// The recorded per-method latency is exactly that residual wait.
-    ///
-    /// # Errors
-    ///
-    /// Whatever the synchronous call would have returned: the remote
-    /// service's typed error (stream kept), transport/deadline/protocol
-    /// failures (stream poisoned), or [`RlError::Protocol`] if no
-    /// prefetch is outstanding.
-    pub fn take_prefetched(&mut self) -> RlResult<Vec<u8>> {
-        match self.prefetch.take() {
-            None => {
-                Err(RlError::Protocol(format!("{}: no prefetched call outstanding", self.peer)))
-            }
-            Some(PrefetchState::Ready(result)) => result,
-            Some(PrefetchState::Sent { req_id, expiry, method }) => {
-                let t0 = Instant::now();
-                let result = self.read_reply(req_id, method, expiry);
-                self.record_latency(method, t0);
-                result?
-            }
-        }
-    }
-
-    /// Turns a sent-but-uncollected prefetch into a stashed result so
-    /// another request can use the stream. No-op otherwise.
-    fn resolve_prefetch(&mut self) {
-        if let Some(PrefetchState::Sent { req_id, expiry, method }) = self.prefetch {
-            let result = self.read_reply(req_id, method, expiry).and_then(|reply| reply);
-            self.prefetch = Some(PrefetchState::Ready(result));
-        }
     }
 }
 

@@ -2,25 +2,27 @@
 //! and the learner-side coordinator, each with a typed client.
 //!
 //! A [`ShardService`] is the in-process executor's [`SharedShard`]
-//! served over the wire, so the TCP runtime exercises the production
-//! replay path rather than a re-implementation. A [`CoordService`] is
-//! the parameter-server face of the learner: workers poll versioned
-//! weight snapshots out of the shared [`WeightHub`] and report progress
-//! through heartbeats whose replies double as the shutdown signal.
+//! taking inserts over the wire, so the TCP runtime exercises the
+//! production replay path rather than a re-implementation. The learner
+//! shares the shard in its own process and samples it directly: only
+//! the edge that crosses a process pays for the transport. A
+//! [`CoordService`] is the parameter-server face of the learner:
+//! workers poll versioned weight snapshots out of the shared
+//! [`WeightHub`] and report progress through heartbeats whose replies
+//! double as the shutdown signal.
 
 use crate::codec::{
     dequantized_snapshot, get_checkpoint, get_membership, get_metrics_snapshot, get_snapshot,
-    get_snapshot_delta, get_tensor, get_trace_dump, get_trajectory, get_trajectory_v2,
-    put_checkpoint, put_membership, put_metrics_snapshot, put_snapshot_delta, put_snapshot_enc,
-    put_tensor, put_tensor_enc, put_trace_dump, put_trajectory, put_trajectory_v2, CodecProfile,
-    TensorEnc,
+    get_snapshot_delta, get_trace_dump, get_trajectory, get_trajectory_v2, put_checkpoint,
+    put_membership, put_metrics_snapshot, put_snapshot_delta, put_snapshot_enc, put_trace_dump,
+    put_trajectory, put_trajectory_v2, CodecProfile, TensorEnc,
 };
 use crate::rpc::{RpcClient, RpcService};
 use crate::wire::{ByteReader, ByteWriter};
 use rlgraph_core::{RlError, RlResult};
 use rlgraph_dist::checkpoint::LearnerCheckpoint;
 use rlgraph_dist::cluster::{MembershipTable, MembershipView};
-use rlgraph_dist::shard::{ShardBatch, ShardCore, SharedShard};
+use rlgraph_dist::shard::{ShardCore, SharedShard};
 use rlgraph_dist::sync::{WeightHub, WeightsSnapshot};
 use rlgraph_memory::Transition;
 use rlgraph_obs::{ClusterRegistry, MetricsSnapshot, Recorder, TraceDump};
@@ -36,12 +38,6 @@ use std::time::{Duration, Instant};
 pub mod shard_method {
     /// `Insert { transitions, priorities }` → `()`
     pub const INSERT: u16 = 1;
-    /// `Sample { batch, beta, state enc }` → `Option<ShardBatch>`
-    pub const SAMPLE: u16 = 2;
-    /// `UpdatePriorities { indices, priorities }` → `()`
-    pub const UPDATE_PRIORITIES: u16 = 3;
-    /// `Watermark` → `u64`
-    pub const WATERMARK: u16 = 4;
     /// `InsertColumnar { columnar trajectory }` → `()` — the columnar,
     /// optionally quantized form of [`INSERT`] (homogeneous batches
     /// only; the client picks per batch).
@@ -75,9 +71,6 @@ pub mod coord_method {
 pub fn shard_method_name(method: u16) -> &'static str {
     match method {
         shard_method::INSERT => "insert",
-        shard_method::SAMPLE => "sample",
-        shard_method::UPDATE_PRIORITIES => "update_priorities",
-        shard_method::WATERMARK => "watermark",
         shard_method::INSERT_COLUMNAR => "insert_columnar",
         _ => "other",
     }
@@ -99,10 +92,10 @@ pub fn coord_method_name(method: u16) -> &'static str {
 }
 
 /// One replay shard behind an RPC server: the [`SharedShard`] every
-/// Ape-X runtime replays from, so requests from all connections
-/// serialize on its lock and the shard's determinism-per-seed carries
-/// over to the wire.
-pub struct ShardService(SharedShard);
+/// Ape-X runtime replays from, so inserts from all connections and the
+/// learner's in-process samples serialize on its lock and the shard's
+/// determinism-per-seed carries over to the wire.
+pub struct ShardService(Arc<SharedShard>);
 
 impl ShardService {
     /// Serves `core` (a run's [`apex_shard`]), recording its service
@@ -110,7 +103,13 @@ impl ShardService {
     ///
     /// [`apex_shard`]: rlgraph_dist::fragment::apex_shard
     pub fn new(core: ShardCore, recorder: &Recorder) -> Self {
-        ShardService(SharedShard::new(core, recorder))
+        ShardService(Arc::new(SharedShard::new(core, recorder)))
+    }
+
+    /// The served shard, for a learner in this process to sample and
+    /// re-prioritize without a round-trip.
+    pub fn shard(&self) -> &Arc<SharedShard> {
+        &self.0
     }
 }
 
@@ -121,7 +120,6 @@ impl RpcService for ShardService {
 
     fn call(&self, method: u16, body: &[u8]) -> RlResult<Vec<u8>> {
         let mut r = ByteReader::new(body);
-        let mut out = ByteWriter::new();
         match method {
             shard_method::INSERT => {
                 let (transitions, priorities) = get_trajectory(&mut r)?;
@@ -133,97 +131,16 @@ impl RpcService for ShardService {
                 r.expect_end()?;
                 self.0.insert(transitions, priorities);
             }
-            shard_method::SAMPLE => {
-                let batch = r.get_u32()? as usize;
-                let beta = r.get_f32()?;
-                let enc = state_enc_from_tag(r.get_u8()?)?;
-                r.expect_end()?;
-                match self.0.sample(batch, beta)? {
-                    None => out.put_u8(0),
-                    Some(b) => {
-                        out.put_u8(1);
-                        put_shard_batch(&mut out, &b, enc);
-                    }
-                }
-            }
-            shard_method::UPDATE_PRIORITIES => {
-                let n = r.get_u32()? as usize;
-                let mut indices = Vec::with_capacity(n);
-                for _ in 0..n {
-                    indices.push(r.get_u64()? as usize);
-                }
-                let priorities = r.get_f32_vec()?;
-                r.expect_end()?;
-                self.0.update_priorities(indices, priorities);
-            }
-            shard_method::WATERMARK => {
-                r.expect_end()?;
-                out.put_u64(self.0.watermark());
-            }
             other => {
                 return Err(RlError::Protocol(format!("shard service: unknown method {}", other)))
             }
         }
-        Ok(out.into_bytes())
+        Ok(Vec::new())
     }
 }
 
-fn state_enc_from_tag(tag: u8) -> RlResult<TensorEnc> {
-    if tag == 0 {
-        return Ok(TensorEnc::F32);
-    }
-    TensorEnc::from_quant_tag(tag)
-        .ok_or_else(|| RlError::Protocol(format!("unknown dtype tag {}", tag)))
-}
-
-fn put_shard_batch(w: &mut ByteWriter, b: &ShardBatch, enc: TensorEnc) {
-    // Only the state tensors (s at 0, s2 at 3) are quantized; actions,
-    // rewards, terminals, and importance weights ship exact.
-    for (i, t) in b.tensors.iter().enumerate() {
-        if i == 0 || i == 3 {
-            put_tensor_enc(w, t, enc);
-        } else {
-            put_tensor(w, t);
-        }
-    }
-    put_tensor(w, &b.weights);
-    w.put_u32(b.indices.len() as u32);
-    for &i in &b.indices {
-        w.put_u64(i as u64);
-    }
-}
-
-fn get_shard_batch(r: &mut ByteReader<'_>) -> RlResult<ShardBatch> {
-    let tensors = [get_tensor(r)?, get_tensor(r)?, get_tensor(r)?, get_tensor(r)?, get_tensor(r)?];
-    let weights = get_tensor(r)?;
-    let n = r.get_u32()? as usize;
-    let mut indices = Vec::with_capacity(n);
-    for _ in 0..n {
-        indices.push(r.get_u64()? as usize);
-    }
-    Ok(ShardBatch { tensors, weights, indices })
-}
-
-fn sample_request(batch: usize, beta: f32, enc: TensorEnc) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_u32(batch as u32);
-    w.put_f32(beta);
-    w.put_u8(enc.tag());
-    w.into_bytes()
-}
-
-fn decode_sample(resp: &[u8]) -> RlResult<Option<ShardBatch>> {
-    let mut r = ByteReader::new(resp);
-    let out = match r.get_u8()? {
-        0 => None,
-        1 => Some(get_shard_batch(&mut r)?),
-        other => return Err(RlError::Protocol(format!("bad sample flag {}", other))),
-    };
-    r.expect_end()?;
-    Ok(out)
-}
-
-/// Typed client of one remote replay shard.
+/// Typed client of one remote replay shard: what a worker process
+/// holds to ship its transitions.
 pub struct ShardClient {
     rpc: RpcClient,
     deadline: Option<Duration>,
@@ -250,9 +167,9 @@ impl ShardClient {
         self.deadline = d;
     }
 
-    /// Selects the wire encodings for inserts and sample replies, and
-    /// with them the frame layer: every profile but
-    /// [`CodecProfile::PLAIN`] also LZ-compresses frames.
+    /// Selects the wire encoding for inserts, and with it the frame
+    /// layer: every profile but [`CodecProfile::PLAIN`] also
+    /// LZ-compresses frames.
     pub fn set_codec(&mut self, codec: CodecProfile) {
         self.codec = codec;
         self.rpc.set_lz(!codec.is_plain());
@@ -277,74 +194,6 @@ impl ShardClient {
         put_trajectory(&mut w, transitions, priorities);
         self.rpc.call(shard_method::INSERT, &w.into_bytes(), self.deadline)?;
         Ok(())
-    }
-
-    /// Samples a batch; `None` while the shard is under-filled.
-    ///
-    /// # Errors
-    ///
-    /// Deadline, transport and protocol errors from the RPC layer.
-    pub fn sample(&mut self, batch: usize, beta: f32) -> RlResult<Option<ShardBatch>> {
-        let req = sample_request(batch, beta, self.codec.states);
-        decode_sample(&self.rpc.call(shard_method::SAMPLE, &req, self.deadline)?)
-    }
-
-    /// Requests a batch without waiting for it: the pipelined form of
-    /// [`ShardClient::sample`]. The shard selects, gathers, and encodes
-    /// the batch while the caller does local work (typically the learn
-    /// step on the *previous* batch); [`ShardClient::sample_collect`]
-    /// then blocks only for whatever the overlap did not cover.
-    ///
-    /// # Errors
-    ///
-    /// Deadline, transport and protocol errors from the RPC layer.
-    pub fn sample_prefetch(&mut self, batch: usize, beta: f32) -> RlResult<()> {
-        let req = sample_request(batch, beta, self.codec.states);
-        self.rpc.call_prefetch(shard_method::SAMPLE, &req, self.deadline)
-    }
-
-    /// Collects the batch of the outstanding
-    /// [`ShardClient::sample_prefetch`]; `None` while the shard is
-    /// under-filled.
-    ///
-    /// # Errors
-    ///
-    /// Deadline, transport and protocol errors from the RPC layer, or
-    /// [`RlError::Protocol`] when no prefetch is outstanding.
-    pub fn sample_collect(&mut self) -> RlResult<Option<ShardBatch>> {
-        decode_sample(&self.rpc.take_prefetched()?)
-    }
-
-    /// Applies the learner's post-step priority updates. Pipelined: the
-    /// request is sent immediately and its ack drained just before the
-    /// next call on this client, keeping the round-trip off the
-    /// learner's critical path. Priorities are advisory, so a typed
-    /// error in the dropped ack costs one stale priority, nothing more.
-    ///
-    /// # Errors
-    ///
-    /// Deadline, transport and protocol errors from the RPC layer.
-    pub fn update_priorities(&mut self, indices: &[usize], priorities: &[f32]) -> RlResult<()> {
-        let mut w = ByteWriter::new();
-        w.put_u32(indices.len() as u32);
-        for &i in indices {
-            w.put_u64(i as u64);
-        }
-        w.put_f32_slice(priorities);
-        self.rpc.call_deferred(shard_method::UPDATE_PRIORITIES, &w.into_bytes(), self.deadline)
-    }
-
-    /// The shard's high-water mark (total records ever inserted).
-    ///
-    /// # Errors
-    ///
-    /// Deadline, transport and protocol errors from the RPC layer.
-    pub fn watermark(&mut self) -> RlResult<u64> {
-        let resp = self.rpc.call(shard_method::WATERMARK, &[], self.deadline)?;
-        let mut r = ByteReader::new(&resp);
-        let v = r.get_u64()?;
-        r.expect_end()?;
-        Ok(v)
     }
 }
 
@@ -572,7 +421,11 @@ impl RpcService for CoordService {
                 // [seen u64][sub_id u64][enc u8][flags u8]
                 let seen = r.get_u64()?;
                 let sub_id = r.get_u64()?;
-                let enc = state_enc_from_tag(r.get_u8()?)?;
+                let enc = match r.get_u8()? {
+                    0 => TensorEnc::F32,
+                    tag => TensorEnc::from_quant_tag(tag)
+                        .ok_or_else(|| RlError::Protocol(format!("unknown dtype tag {}", tag)))?,
+                };
                 let want_delta = r.get_u8()? & 1 != 0;
                 r.expect_end()?;
                 match self.hub.poll(seen) {

@@ -11,7 +11,7 @@ use rlgraph_dist::ShardCore;
 use rlgraph_dist::{DriverConfigBuilder, RunBudget};
 use rlgraph_net::{
     run_apex_net, CoordClient, CoordService, ElasticConfig, EnvSpec, Heartbeat, LaunchMode,
-    NetApexConfig, RpcServer, ShardClient, ShardService, WorkerSpec,
+    NetApexConfig, RpcServer, ShardService, WorkerSpec,
 };
 use rlgraph_nn::{Activation, NetworkSpec};
 use rlgraph_obs::Recorder;
@@ -97,17 +97,14 @@ fn killed_worker_is_evicted_and_a_zombie_generation_is_rejected() {
         CoordService::new(hub, stop.clone()).with_beat_timeout(Duration::from_millis(300)),
     );
     let coord = RpcServer::spawn("coord", coord_service.clone(), recorder.clone()).unwrap();
+    let mut services = Vec::new();
     let mut shards = Vec::new();
     for i in 0..2 {
-        shards.push(
-            RpcServer::spawn(
-                &format!("shard-{}", i),
-                Arc::new(ShardService::new(ShardCore::new(4096, 0.6, i), &recorder)),
-                recorder.clone(),
-            )
-            .unwrap(),
-        );
+        let service = Arc::new(ShardService::new(ShardCore::new(4096, 0.6, i), &recorder));
+        services.push(service.clone());
+        shards.push(RpcServer::spawn(&format!("shard-{}", i), service, recorder.clone()).unwrap());
     }
+    let watermarks = || services.iter().map(|s| s.shard().watermark()).sum::<u64>();
     let spec = WorkerSpec {
         worker: 0,
         num_workers: 2,
@@ -153,19 +150,15 @@ fn killed_worker_is_evicted_and_a_zombie_generation_is_rejected() {
 
     // Zero loss across the crash: the un-beaten task is *extra* data
     // in the shards, never missing data.
-    let mut watermarks = 0u64;
-    for (i, s) in shards.iter().enumerate() {
-        let mut c = ShardClient::connect(&format!("shard-{}", i), s.addr(), &recorder).unwrap();
-        watermarks += c.watermark().unwrap();
-    }
+    let inserted = watermarks();
     let progress = coord_service.progress();
     assert!(
-        watermarks >= progress.samples,
+        inserted >= progress.samples,
         "lost transitions: {} inserted < {} reported",
-        watermarks,
+        inserted,
         progress.samples
     );
-    assert!(watermarks > 0, "the crashed worker inserted nothing");
+    assert!(inserted > 0, "the crashed worker inserted nothing");
 
     // Incarnation 2 rejoins at the same slot with a bumped generation
     // and runs until told to stop.
@@ -198,12 +191,7 @@ fn killed_worker_is_evicted_and_a_zombie_generation_is_rejected() {
     stop.store(true, Ordering::Relaxed);
     assert!(replacement.join().unwrap().is_ok(), "replacement must exit cleanly on stop");
     let final_progress = coord_service.progress();
-    let mut final_watermarks = 0u64;
-    for (i, s) in shards.iter().enumerate() {
-        let mut c = ShardClient::connect(&format!("shard-{}", i), s.addr(), &recorder).unwrap();
-        final_watermarks += c.watermark().unwrap();
-    }
-    assert!(final_watermarks >= final_progress.samples);
+    assert!(watermarks() >= final_progress.samples);
     for s in shards {
         s.shutdown();
     }

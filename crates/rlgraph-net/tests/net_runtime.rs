@@ -1,7 +1,8 @@
 //! End-to-end tests of the networked runtime: shard/coordinator
-//! services over loopback TCP, the Ape-X net run in thread mode (real
-//! sockets, in-process workers), deterministic fault-proxy draws, and
-//! checkpoint transfer over the wire.
+//! services over loopback TCP (the shard's inserts over the wire, its
+//! samples in-process, as the learner takes them), the Ape-X net run in
+//! thread mode (real sockets, in-process workers), deterministic
+//! fault-proxy draws, and checkpoint transfer over the wire.
 
 use rlgraph_agents::{Backend, DqnConfig};
 use rlgraph_core::RlError;
@@ -36,12 +37,13 @@ fn tiny_agent() -> DqnConfig {
 #[test]
 fn shard_service_over_tcp_serves_the_replay_path() {
     let recorder = Recorder::disabled();
-    let service = ShardService::new(ShardCore::new(64, 0.6, 0), &recorder);
-    let server = RpcServer::spawn("shard", Arc::new(service), recorder.clone()).unwrap();
+    let service = Arc::new(ShardService::new(ShardCore::new(64, 0.6, 0), &recorder));
+    let server = RpcServer::spawn("shard", service.clone(), recorder.clone()).unwrap();
     let mut client = ShardClient::connect("shard", server.addr(), &recorder).unwrap();
+    let shard = service.shard();
 
     // Under-filled: sample declines rather than errors.
-    assert!(client.sample(8, 0.4).unwrap().is_none());
+    assert!(shard.sample(8, 0.4).unwrap().is_none());
 
     let transitions: Vec<_> = (0..16)
         .map(|i| {
@@ -55,24 +57,32 @@ fn shard_service_over_tcp_serves_the_replay_path() {
         })
         .collect();
     client.insert(&transitions, &[1.0; 16]).unwrap();
-    assert_eq!(client.watermark().unwrap(), 16);
+    assert_eq!(shard.watermark(), 16);
 
-    let batch = client.sample(8, 0.4).unwrap().expect("filled");
+    // What crossed the wire is what the in-process learner samples.
+    let batch = shard.sample(8, 0.4).unwrap().expect("filled");
     assert_eq!(batch.tensors[0].shape(), &[8, 3]);
     assert_eq!(batch.indices.len(), 8);
-    client.update_priorities(&batch.indices, &[2.0; 8]).unwrap();
-    assert!(client.sample(8, 0.4).unwrap().is_some());
+    let s = batch.tensors[0].as_f32().unwrap();
+    let s2 = batch.tensors[3].as_f32().unwrap();
+    for (row, &i) in batch.indices.iter().enumerate() {
+        assert_eq!(&s[row * 3..row * 3 + 3], &[i as f32; 3]);
+        assert_eq!(&s2[row * 3..row * 3 + 3], &[i as f32 + 1.0; 3]);
+    }
+    shard.update_priorities(batch.indices, vec![2.0; 8]);
+    assert!(shard.sample(8, 0.4).unwrap().is_some());
     server.shutdown();
 }
 
-/// A peer's insert of a state of another shape reaches the learner as a
-/// typed error from the first sample that draws it, not as a shard that
-/// never fills (a learner waiting on "under-filled" would spin forever).
+/// A peer's insert over TCP of a state of another shape reaches the
+/// learner as a typed error from the first sample that draws it, not as
+/// a shard that never fills (a learner waiting on "under-filled" would
+/// spin forever).
 #[test]
 fn a_mixed_shape_insert_fails_the_sample_with_a_typed_error() {
     let recorder = Recorder::disabled();
-    let service = ShardService::new(ShardCore::new(64, 1.0, 0), &recorder);
-    let server = RpcServer::spawn("shard", Arc::new(service), recorder.clone()).unwrap();
+    let service = Arc::new(ShardService::new(ShardCore::new(64, 1.0, 0), &recorder));
+    let server = RpcServer::spawn("shard", service.clone(), recorder.clone()).unwrap();
     let mut client = ShardClient::connect("shard", server.addr(), &recorder).unwrap();
     let record = |shape: &[usize], v: f32| {
         rlgraph_memory::Transition::new(
@@ -89,7 +99,7 @@ fn a_mixed_shape_insert_fails_the_sample_with_a_typed_error() {
     let mut priorities = vec![1.0; 8];
     priorities.push(8.0);
     client.insert(&transitions, &priorities).unwrap();
-    let err = client.sample(4, 0.4).expect_err("a mixed batch was served");
+    let err = service.shard().sample(4, 0.4).expect_err("a mixed batch was served");
     assert!(matches!(err, RlError::Core(_)), "{err:?}");
     assert!(err.is_fatal());
     server.shutdown();
@@ -151,7 +161,7 @@ fn shard_client_keeps_its_codec_profile_after_a_protocol_reply() {
         *service.seen.lock().unwrap(),
         vec![shard_method::INSERT_COLUMNAR, shard_method::INSERT_COLUMNAR]
     );
-    assert_eq!(client.watermark().unwrap(), 64);
+    assert_eq!(service.shard.shard().watermark(), 64);
     // Both inserts crossed the wire columnar, i8-quantized and LZ'd:
     // far below one exact row-wise copy (64 × 2 × 32 f32 = 16 KiB).
     let tx = recorder.counter("net.bytes_tx").value();
@@ -311,12 +321,29 @@ fn telemetry_plane_folds_workers_and_merges_traces() {
         "frag.learn.update_rate",
         "frag.learn.updates",
         "frag.learn.step_us",
+        "frag.learn.sample_wait_us",
         "frag.replay.insert_us",
         "frag.replay.sample_us",
+        "frag.replay.update_priorities_us",
+        "net.rpc.insert.us",
+        "net.rpc.serve.insert.us",
         "net.bytes_tx",
     ] {
         assert!(names.contains(&present), "missing {}:\n{}", present, report);
     }
+    // The learner samples and re-prioritizes the shards in its own
+    // process: workers' inserts cross the wire, no sample or priority
+    // update does, on either end of a connection.
+    let self_rpcs: Vec<_> = names
+        .iter()
+        .filter(|n| {
+            ["net.rpc.", "net.rpc.serve."].iter().any(|side| {
+                n.strip_prefix(side)
+                    .is_some_and(|m| m.starts_with("sample") || m.starts_with("update_priorities"))
+            })
+        })
+        .collect();
+    assert!(self_rpcs.is_empty(), "learner-side RPCs {:?} in:\n{}", self_rpcs, report);
     for retired in ["shard.", "worker.", "learner.", "actor.", "queue.", "chaos."] {
         let stale: Vec<_> = names.iter().filter(|n| n.starts_with(retired)).collect();
         assert!(stale.is_empty(), "retired metric names {:?} in:\n{}", stale, report);

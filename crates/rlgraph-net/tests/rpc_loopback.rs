@@ -1,5 +1,5 @@
 //! Loopback RPC tests: deadlines, typed error propagation, retry,
-//! reconnect, pipelining, frame compression and the strict version word
+//! reconnect, frame compression and the strict version word
 //! — all over real TCP sockets on 127.0.0.1.
 
 use rlgraph_core::{RlError, Severity};
@@ -329,67 +329,6 @@ fn compression_survives_a_reset_first_exchange() {
     );
     drop(client);
     proxy.shutdown();
-    server.shutdown();
-}
-
-/// Deferred (pipelined) calls interleave with synchronous ones: acks
-/// drain before the next request, results stay correct, and a typed
-/// service error in a dropped ack is counted, not raised.
-#[test]
-fn deferred_calls_pipeline() {
-    let (server, recorder) = spawn_server();
-    let mut client = RpcClient::connect("test", server.addr(), &recorder).unwrap();
-    for i in 0..5u8 {
-        client.call_deferred(ECHO, &[i], Some(Duration::from_secs(5))).unwrap();
-        // The drained ack must belong to the deferred request, not
-        // bleed into this call's response.
-        assert_eq!(
-            client.call(ECHO, &[100 + i], Some(Duration::from_secs(5))).unwrap(),
-            vec![100 + i]
-        );
-    }
-    // A failing deferred call: the typed error is dropped on drain and
-    // counted; the next call is unaffected.
-    client.call_deferred(FAIL_RETRYABLE, b"", Some(Duration::from_secs(5))).unwrap();
-    assert_eq!(client.call(ECHO, b"after", Some(Duration::from_secs(5))).unwrap(), b"after");
-    assert_eq!(
-        recorder.counter("net.deferred_dropped_errors").value(),
-        1,
-        "dropped typed error must be counted"
-    );
-    server.shutdown();
-}
-
-/// Prefetched calls return their own response: a sync call issued while
-/// a prefetch is outstanding resolves and stashes the prefetched
-/// response instead of stealing it, and a typed error surfaces from
-/// collection — not from an unrelated call.
-#[test]
-fn prefetched_calls_pipeline() {
-    let (server, recorder) = spawn_server();
-    let mut client = RpcClient::connect("test", server.addr(), &recorder).unwrap();
-    // Plain prefetch → collect round trips.
-    for i in 0..5u8 {
-        client.call_prefetch(ECHO, &[i], Some(Duration::from_secs(5))).unwrap();
-        assert_eq!(client.take_prefetched().unwrap(), vec![i]);
-    }
-    // A sync call between prefetch and collection must not steal the
-    // prefetched response.
-    client.call_prefetch(ECHO, b"stashed", Some(Duration::from_secs(5))).unwrap();
-    assert_eq!(client.call(ECHO, b"sync", Some(Duration::from_secs(5))).unwrap(), b"sync");
-    assert_eq!(client.take_prefetched().unwrap(), b"stashed");
-    // Double prefetch is a caller bug.
-    client.call_prefetch(ECHO, b"one", Some(Duration::from_secs(5))).unwrap();
-    let err = client.call_prefetch(ECHO, b"two", Some(Duration::from_secs(5))).unwrap_err();
-    assert!(matches!(err, RlError::Protocol(_)), "got {err}");
-    assert_eq!(client.take_prefetched().unwrap(), b"one");
-    // A typed service error surfaces from collection, stream kept.
-    client.call_prefetch(FAIL_RETRYABLE, b"", Some(Duration::from_secs(5))).unwrap();
-    let err = client.take_prefetched().unwrap_err();
-    assert!(matches!(err, RlError::MailboxFull { capacity: 7 }), "got {err}");
-    assert_eq!(client.call(ECHO, b"after", Some(Duration::from_secs(5))).unwrap(), b"after");
-    // Collecting with nothing outstanding is a caller bug.
-    assert!(matches!(client.take_prefetched(), Err(RlError::Protocol(_))));
     server.shutdown();
 }
 

@@ -34,7 +34,9 @@ step kernel_oracles cargo test -q --release -p rlgraph-tensor
 # counts, and the wire crate (the frame CRC's oracles, the golden frames),
 # in the profile the benchmark runs. The learning fixtures (apex_learns,
 # impala_learns: each seed against a frozen control) run only here; the
-# debug workspace step skips them.
+# debug workspace step skips them. The TCP runtime's tests run here too:
+# its learner loop is the one `apex_tcp` times, so it has to hold in the
+# release profile as well.
 release_fixtures() {
     cargo test -q --release -p rlgraph-dist \
         --test fragment_parity --test chaos_fixture --test apex_learns --test impala_learns
@@ -45,6 +47,7 @@ release_fixtures() {
     cargo test -q --release -p rlgraph-agents \
         --test steady_state_allocs
     cargo test -q --release -p rlgraph-reactor
+    cargo test -q --release -p rlgraph-net --test net_runtime --test elastic_cluster
 }
 step release_fixtures release_fixtures
 
