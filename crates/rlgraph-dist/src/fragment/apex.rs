@@ -477,6 +477,43 @@ mod tests {
         assert!(stats.losses.iter().all(|l| l.is_finite()));
     }
 
+    /// The one learner iteration both Ape-X drivers run: shards are
+    /// taken in turn, an under-filled one declines without updating,
+    /// and every draw's wait is recorded, whether it yields or not.
+    #[test]
+    fn learner_step_takes_shards_in_turn_and_declines_an_underfilled_one() {
+        let env = RandomEnv::new(&[4], 2, 20, 0);
+        let agent = tiny_agent();
+        let recorder = Recorder::wall();
+        let mut learner =
+            ApexLearner::new(&agent, &env.state_space(), &env.action_space(), &recorder).unwrap();
+        let filled = Arc::new(SharedShard::new(apex_shard(&agent, 0), &recorder));
+        let empty = Arc::new(SharedShard::new(apex_shard(&agent, 1), &recorder));
+        let transitions: Vec<_> = (0..32)
+            .map(|i| {
+                rlgraph_memory::Transition::new(
+                    Tensor::full(&[4], i as f32 / 32.0),
+                    Tensor::scalar_i64(i % 2),
+                    1.0,
+                    Tensor::full(&[4], (i + 1) as f32 / 32.0),
+                    i % 8 == 7,
+                )
+            })
+            .collect();
+        filled.insert(transitions, vec![1.0; 32]);
+        let shards = [filled, empty];
+
+        assert!(learner.step(&shards).unwrap(), "the filled shard yields a batch");
+        assert!(!learner.step(&shards).unwrap(), "the empty shard declines");
+        assert!(learner.step(&shards).unwrap(), "back to the filled shard");
+        assert_eq!(learner.updates(), 2);
+        assert!(learner.losses.iter().all(|l| l.is_finite()), "{:?}", learner.losses);
+        assert_eq!(recorder.counter("frag.learn.updates").value(), 2);
+        assert_eq!(recorder.histogram("frag.learn.sample_wait_us").count(), 3);
+        assert_eq!(recorder.histogram("frag.learn.step_us").count(), 2);
+        assert!(shards[1].is_empty());
+    }
+
     #[test]
     fn a_placement_other_than_the_default_is_rejected() {
         // The runtime has one mapping: a replay placed on actor threads

@@ -74,6 +74,52 @@ fn shard_service_over_tcp_serves_the_replay_path() {
     server.shutdown();
 }
 
+/// The shard service takes inserts only: a peer still calling the
+/// retired sample (2), priority-update (3) or watermark (4) methods gets
+/// a typed `Protocol` reply that names the method, the shard stays
+/// untouched, and the connection carries the next insert.
+#[test]
+fn shard_service_refuses_the_retired_sample_methods() {
+    let recorder = Recorder::disabled();
+    let service = Arc::new(ShardService::new(ShardCore::new(64, 0.6, 0), &recorder));
+    let server = RpcServer::spawn("shard", service.clone(), recorder.clone()).unwrap();
+    let mut rpc = RpcClient::connect("shard", server.addr(), &recorder).unwrap();
+    for method in [2u16, 3, 4] {
+        let err = rpc.call(method, &[], Some(Duration::from_secs(5))).unwrap_err();
+        match err {
+            RlError::Protocol(msg) => {
+                assert!(msg.contains(&format!("unknown method {method}")), "{msg}")
+            }
+            other => panic!("method {method}: expected a Protocol error, got {other}"),
+        }
+    }
+    assert!(service.shard().is_empty());
+
+    let mut w = rlgraph_net::ByteWriter::new();
+    let transitions: Vec<_> = (0..4)
+        .map(|i| {
+            rlgraph_memory::Transition::new(
+                Tensor::full(&[3], i as f32),
+                Tensor::scalar_i64(0),
+                1.0,
+                Tensor::full(&[3], i as f32 + 1.0),
+                false,
+            )
+        })
+        .collect();
+    rlgraph_net::codec::put_trajectory(&mut w, &transitions, &[1.0; 4]);
+    let reply = rpc
+        .call(
+            rlgraph_net::services::shard_method::INSERT,
+            &w.into_bytes(),
+            Some(Duration::from_secs(5)),
+        )
+        .unwrap();
+    assert!(reply.is_empty());
+    assert_eq!(service.shard().watermark(), 4);
+    server.shutdown();
+}
+
 /// A peer's insert over TCP of a state of another shape reaches the
 /// learner as a typed error from the first sample that draws it, not as
 /// a shard that never fills (a learner waiting on "under-filled" would
